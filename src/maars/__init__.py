@@ -11,11 +11,3 @@ DEFAULT_DECAY_RATE = -0.5  # target continuous-time decay rate (1/s)
 def data_path(*parts: str) -> Path:
     """Path to a bundled data file, e.g. data_path('tasksets', 'minimal.json')."""
     return Path(resources.files("maars") / "data" / Path(*parts))
-
-
-def bundled_tasksets() -> list[str]:
-    return sorted(p.stem for p in data_path("tasksets").glob("*.json"))
-
-
-def bundled_plants() -> list[str]:
-    return sorted(p.stem for p in data_path("plants").glob("*.json"))

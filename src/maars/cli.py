@@ -11,8 +11,11 @@ Three commands share one flag set:
 * ``simulate`` — closed-loop co-simulation of a deployment policy against a
   scripted attack scenario (deployment log, trace CSV, metrics JSON).
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible (unschedulable
-task set, no stabilizable period menu, or an empty schedule store).
+Exit codes: 0 success, 2 configuration error (also a store that belongs to
+another task set or fails its load checks, a scenario whose roles do not
+match the task set, or an exhaustive enumeration over its budget),
+3 infeasible (unschedulable task set, no stabilizable period menu, or an
+empty schedule store).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,7 +33,7 @@ from pathlib import Path
 from . import DEFAULT_DECAY_RATE, __version__, data_path
 from .control import NumericsError, PlantModel, design_loop, load_plant
 from .cosim import AttackScenario, run_scenario, save_trace_csv
-from .kernel import BACKEND, DeadlineMiss
+from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
 from .ladder import build_ladder, inferability_ratio, tile_timeline
 from .runtime import make_selector, save_log_csv
 from .schedgen import generate_pool, save_pool, simulate_fixed_priority
@@ -188,7 +192,7 @@ def write_ir_csv(store, path: Path) -> None:
             for victim in ts.trusted:
                 for u in ts.untrusted:
                     timeline = tile_timeline(
-                        sched, 2 * _lcm(sched.length, victim.min_period, u.period)
+                        sched, 2 * math.lcm(sched.length, victim.min_period, u.period)
                     )
                     lv = build_ladder(timeline, victim, u)
                     writer.writerow(
@@ -197,16 +201,11 @@ def write_ir_csv(store, path: Path) -> None:
                     )
 
 
-def _lcm(*xs: int) -> int:
-    import math
-
-    return math.lcm(*xs)
-
-
 def write_summary(
     path: Path,
     taskset: TaskSet,
     store,
+    serialized_bytes: int,
     provenance: dict | None,
     n_specs: int,
     label: str,
@@ -227,7 +226,7 @@ def write_summary(
             f"task {t.id}: avg AP {sum(aps) / len(aps):.4f}, "
             f"max AP {max(aps):.4f}, TAP {t.tap}"
         )
-    cost = store_memory_cost(store)
+    cost = store_memory_cost(store, serialized_bytes)
     lines.append(
         f"memory model: {cost['model_bytes']} B "
         f"({cost['lut_elements']} LUT + {cost['slot_elements']} slot elements), "
@@ -294,11 +293,13 @@ def cmd_analyze(args) -> int:
     save_pool(pruned, pool, out / "pool.json")
 
     store = build_store(pool, pruned)
-    save_store(store, out / "store.json")
+    serialized_bytes = save_store(store, out / "store.json")
     export_reports_csv(store, out / "vuln.csv")
     write_ir_csv(store, out / "ir.csv")
     label = "analyze" if args.policy == "maars" else f"analyze ({args.policy})"
-    write_summary(out / "summary.txt", pruned, store, provenance, len(specs), label)
+    write_summary(
+        out / "summary.txt", pruned, store, serialized_bytes, provenance, len(specs), label
+    )
     print((out / "summary.txt").read_text(), end="")
     return EXIT_OK
 
@@ -432,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Infeasible, Unschedulable, DeadlineMiss, NumericsError) as exc:

@@ -62,10 +62,6 @@ class PlantModel:
     def n_states(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
 
 def discretize(plant: PlantModel, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold discretization over period ``h`` seconds.
@@ -294,9 +290,3 @@ def plant_from_dict(data: dict) -> PlantModel:
 def load_plant(path: str | Path) -> PlantModel:
     with open(path) as fh:
         return plant_from_dict(json.load(fh))
-
-
-def save_plant(plant: PlantModel, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(plant_to_dict(plant), fh, indent=2)
-        fh.write("\n")

@@ -13,21 +13,17 @@ later, matching the discrete closed-loop model.
 from __future__ import annotations
 
 import csv
-import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .control import DiscretizedLoop, PlantModel, calibrate_threshold, design_loop
-from .runtime import SelectorState, run_epoch
+from .control import Detector, DiscretizedLoop, PlantModel, calibrate_threshold, design_loop
+from .runtime import SelectorState, make_selector, resolve_flag, run_epoch
 from .schedgen import Schedule, simulate_fixed_priority
-from .taskmodel import TaskSet, TrustedTask
-from .vulnerability import ScheduleStore, attack_count
-
-log = logging.getLogger(__name__)
+from .taskmodel import ConfigError, TaskSet, TrustedTask
+from .vulnerability import ScheduleStore, analyze, svt
 
 DIVERGENCE_BOUND = 1e6
 
@@ -94,18 +90,23 @@ class ControlLoopSim:
         self.period = task.min_period
         base = self.loops[self.period]
         if plant.detector_threshold is not None:
-            self.threshold = float(plant.detector_threshold)
+            threshold = float(plant.detector_threshold)
         else:
-            self.threshold = calibrate_threshold(
+            threshold = calibrate_threshold(
                 base.innovation_cov, plant.detector_window, plant.far_target
             )
-        self.window: list[float] = []
-        self.g = 0.0
+        # one detector window spans every period switch; only the residue
+        # covariance it normalizes by changes with the period
+        self.detector = Detector(base.innovation_cov, plant.detector_window, threshold)
+        self.sigma_inv = {
+            p: np.linalg.inv(loop.innovation_cov) for p, loop in self.loops.items()
+        }
         self.alarmed = False
         self.norm_trace: list[tuple[float, float]] = []  # (time s, ||x||)
 
     def set_period(self, period: int):
         self.period = period
+        self.detector.sigma_inv = self.sigma_inv[period]
 
     def _noise(self, cov: np.ndarray) -> np.ndarray:
         if self.noise_scale == 0.0:
@@ -122,14 +123,8 @@ class ControlLoopSim:
         """Sample, estimate, detect, and compute the next control input."""
         loop = self.loops[self.period]
         y = self.plant.C @ self.x + self._noise(self.plant.V)
-        res = y - self.plant.C @ self.xhat
-        sigma_inv = np.linalg.inv(loop.innovation_cov)
-        z = float(res @ sigma_inv @ res)
-        self.window.append(z)
-        if len(self.window) > self.plant.detector_window:
-            self.window.pop(0)
-        self.g = sum(self.window) / len(self.window)
-        if self.g > self.threshold:
+        _, alarm = self.detector.step(y - self.plant.C @ self.xhat)
+        if alarm:
             self.alarmed = True
         self.xhat = (
             (loop.A - loop.L @ self.plant.C) @ self.xhat
@@ -162,6 +157,14 @@ class CoSimWorld:
     ):
         self.taskset = taskset
         self.scenario = scenario
+        if scenario is not None:
+            if scenario.victim_id not in taskset.trusted_ids():
+                raise ConfigError(f"scenario victim {scenario.victim_id} is not a trusted task")
+            if scenario.compromised_task_id not in taskset.untrusted_ids():
+                raise ConfigError(
+                    f"scenario compromised task {scenario.compromised_task_id}"
+                    " is not an untrusted task"
+                )
         self.rng = np.random.default_rng(seed)
         self.divergence_bound = divergence_bound
         self.loops: dict[int, ControlLoopSim] = {}
@@ -244,17 +247,14 @@ class CoSimWorld:
             self.victim_jobs += l // sched.spec.period_of(victim.id)
             self.victim_hits += len(hit_jobs)
         self.epoch += 1
-        alarmed = [tid for tid, sim in self.loops.items() if sim.alarmed]
-        if not alarmed:
-            return 0
-        trusted = {t.id: t for t in ts.trusted}
-        return max(alarmed, key=lambda i: (trusted[i].criticality, -i))
+        return resolve_flag(ts, [tid for tid, sim in self.loops.items() if sim.alarmed])
 
     def _record(self, t_slot: int, running: int):
         row: list = [self.time_slots * self.taskset.delta, running]
         if self.scenario is not None and self.scenario.victim_id in self.loops:
             sim = self.loops[self.scenario.victim_id]
-            row += [float(np.linalg.norm(sim.x)), float(sim.buffer[0]), sim.g, int(sim.alarmed)]
+            row += [float(np.linalg.norm(sim.x)), float(sim.buffer[0]), sim.detector.g,
+                    int(sim.alarmed)]
         self.trace.append(tuple(row))
 
 
@@ -284,6 +284,20 @@ def _fit_metrics(
     return settled, rate
 
 
+def _static_store(taskset: TaskSet) -> ScheduleStore:
+    """The static policy as a store: the fixed-priority schedule at minimum
+    periods, deployable in normal mode (K = 1) and in every alert mode."""
+    sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
+    return ScheduleStore(
+        taskset=taskset,
+        schedules=[sched],
+        reports=[analyze(sched, taskset)],
+        svt=svt(taskset),
+        k_threshold=1,
+        lut={t.id: [0] for t in taskset.trusted},
+    )
+
+
 def run_scenario(
     taskset: TaskSet,
     plants: dict[str, PlantModel],
@@ -301,80 +315,40 @@ def run_scenario(
     """Drive ``epochs`` hyper-periods under the given deployment policy.
 
     policy="static": the deterministic fixed-priority schedule at minimum
-    periods every epoch (alarms logged only). policy="maars": the runtime
-    selector draws from ``store``. Deterministic for a fixed seed.
+    periods every epoch (``store`` and ``selector`` are ignored).
+    policy="maars": the runtime selector draws from ``store``. Both run
+    through ``runtime.run_epoch``. Deterministic for a fixed seed.
     """
+    if policy == "static":
+        selector = make_selector(_static_store(taskset), seed)
+    elif policy != "maars":
+        raise ValueError(f"unknown policy {policy!r}")
+    elif store is None or selector is None:
+        raise ValueError("maars policy needs a schedule store and selector")
     world = CoSimWorld(
         taskset, plants, scenario, seed,
         noise_scale=noise_scale, divergence_bound=divergence_bound,
     )
     world.trace_enabled = trace
-    alarm_epochs: list[int] = []
-    deployed_ap: list[float] = []
+    deployments = run_epoch(selector, world, epochs)
+
     victim_id = scenario.victim_id if scenario is not None else None
-
-    def record_ap(sched: Schedule):
-        if victim_id is None:
-            deployed_ap.append(0.0)
-            return
-        victim = taskset.task(victim_id)
-        ap = attack_count(sched, victim, set(taskset.untrusted_ids()))
-        deployed_ap.append(
-            float(Fraction(ap * sched.spec.period_of(victim_id), sched.length))
-        )
-
-    if policy == "static":
-        sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
-        for epoch in range(epochs):
-            record_ap(sched)
-            flag = world.run_hyper_period(sched)
-            if flag:
-                alarm_epochs.append(epoch)
-            if world.diverged:
-                break
-    elif policy == "maars":
-        if store is None or selector is None:
-            raise ValueError("maars policy needs a schedule store and selector")
-
-        class _Bridge:
-            def run_hyper_period(self, sched):
-                record_ap(sched)
-                flag = world.run_hyper_period(sched)
-                if flag:
-                    alarm_epochs.append(world.epoch - 1)
-                if world.diverged:
-                    raise _Diverged
-                return flag
-
-        class _Diverged(Exception):
-            pass
-
-        try:
-            run_epoch(selector, _Bridge(), epochs)
-        except _Diverged:
-            pass
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-
     settle, rate = None, None
     if victim_id is not None and victim_id in world.loops:
         settle, rate = _fit_metrics(world.loops[victim_id].norm_trace, settle_band)
     metrics = RunMetrics(
         settling_time=settle,
         decay_rate=rate,
-        alarm_epochs=alarm_epochs,
-        deployed_ap=deployed_ap,
+        alarm_epochs=[e.epoch for e in deployments if e.flag],
+        deployed_ap=[
+            0.0 if victim_id is None else float(selector.store.ap_of(e.index, victim_id))
+            for e in deployments
+        ],
         diverged=world.diverged,
         victim_hits=world.victim_hits,
         victim_jobs=world.victim_jobs,
     )
     return metrics, world
-
-
-def attack_success_rate(metrics: RunMetrics) -> Fraction:
-    """Fraction of victim jobs whose AEW actually contained an execution of
-    the compromised task during the run."""
-    return metrics.attack_success_rate
 
 
 def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kernel import splitmix64
+from .taskmodel import TaskSet
 from .vulnerability import ScheduleStore
 
 log = logging.getLogger(__name__)
@@ -65,28 +66,27 @@ def make_selector(store: ScheduleStore, seed: int, alert_exit_after: int = 3) ->
     return SelectorState(store=store, rng=CounterRng(seed), alert_exit_after=alert_exit_after)
 
 
-def resolve_flag(store: ScheduleStore, alarmed_ids: list[int]) -> int:
+def resolve_flag(taskset: TaskSet, alarmed_ids: list[int]) -> int:
     """Collapse simultaneous alarms to one task id: highest criticality wins."""
     if not alarmed_ids:
         return 0
-    trusted = {t.id: t for t in store.taskset.trusted}
+    trusted = {t.id: t for t in taskset.trusted}
     unknown = [i for i in alarmed_ids if i not in trusted]
     if unknown:
         raise ValueError(f"alarm for unknown trusted task id(s) {unknown}")
     return max(alarmed_ids, key=lambda i: (trusted[i].criticality, -i))
 
 
-def _draw(state: SelectorState, candidates: list[int]) -> tuple[int, bool]:
+def _draw(state: SelectorState, candidates: list[int]) -> int:
     """Uniform draw from ``candidates``, redrawn while it equals the current
     index. A single candidate equal to the current one is redeployed (the
     redraw loop would never terminate otherwise)."""
     if len(candidates) == 1:
-        idx = candidates[0]
-        return idx, idx == state.current
+        return candidates[0]
     while True:
         idx = candidates[state.rng.below(len(candidates))]
         if idx != state.current:
-            return idx, False
+            return idx
 
 
 def sched_sel(state: SelectorState, atk_flag: int) -> int:
@@ -124,9 +124,8 @@ def sched_sel(state: SelectorState, atk_flag: int) -> int:
             return state.current
         candidates = list(range(store.k_threshold))
 
-    idx, _ = _draw(state, candidates)
-    state.current = idx
-    return idx
+    state.current = _draw(state, candidates)
+    return state.current
 
 
 def run_epoch(state: SelectorState, world, epochs: int) -> list[LogEntry]:
@@ -134,7 +133,8 @@ def run_epoch(state: SelectorState, world, epochs: int) -> list[LogEntry]:
 
     ``world`` must provide run_hyper_period(schedule) -> flag (0 or the
     alarmed trusted task id). Selection for the next epoch happens at each
-    hyper-period boundary.
+    hyper-period boundary. A world whose ``diverged`` attribute turns true
+    ends the loop after that epoch is logged.
     """
     if state.current < 0:
         sched_sel(state, 0)
@@ -151,6 +151,8 @@ def run_epoch(state: SelectorState, world, epochs: int) -> list[LogEntry]:
                 flag=flag,
             )
         )
+        if getattr(world, "diverged", False):
+            break
         sched_sel(state, flag)
         if state.current == before:
             state.deployments[-1].held = True

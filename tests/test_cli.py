@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, exit codes, policy wiring."""
 
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,31 @@ class TestSimulate:
         assert metrics["policy"] == "maars"
 
 
+def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
+    """argv of a command that must end in a configuration error."""
+    lu_store = stores / "analyze" / "store.json"
+    if case == "exhaustive-budget":
+        return ["analyze", "--taskset", "minimal", "--exhaustive",
+                "--exhaustive-budget", "10", "--out", str(tmp_path)]
+    if case == "foreign-store":
+        return ["simulate", "--taskset", "minimal", "--policy", "maars",
+                "--store", str(lu_store), "--out", str(tmp_path)]
+    if case == "truncated-store":
+        data = json.loads(lu_store.read_text())
+        data["records"].pop()
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(data))
+        return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
+                "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
+    roles = {"untrusted-victim": (5, 6), "trusted-attacker": (1, 2)}[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        {"compromised_task_id": roles[0], "victim_id": roles[1]}
+    ))
+    return ["simulate", "--taskset", "automotive_lu", "--policy", "static",
+            "--epochs", "1", "--scenario", str(scenario), "--out", str(tmp_path)]
+
+
 class TestExitCodes:
     def test_missing_taskset_is_config_error(self, tmp_path):
         assert main(["analyze", "--taskset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -132,6 +158,16 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("case", [
+        "exhaustive-budget", "foreign-store", "truncated-store",
+        "untrusted-victim", "trusted-attacker",
+    ])
+    def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
+        assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestPruneMenus:
     def test_lu_menus_survive(self, lu_ts, plants):
@@ -145,3 +181,70 @@ class TestPruneMenus:
     def test_feasible_specs_all_lu(self, lu_ts, plants):
         pruned, _ = prune_menus(lu_ts, plants, gamma=-0.5)
         assert len(feasible_specs(pruned)) == 81
+
+
+# sha256 of the artifacts of short fixed-seed `simulate` runs through main().
+# A change to any of these bytes changes what the co-simulation or the
+# runtime selector does; a refactor of either must reproduce them exactly.
+# (`static` deploys no store, so it writes no deployments.csv.)
+SIMULATE_GOLDEN = {
+    "maars-attack": {
+        "metrics.json": "795e1232ddd5be6450d4f9d2251db35e8126366dc659082b1b828b65e236a663",
+        "trace.csv": "25f91bb30f5ab05794794a5565f66220fe431ba942d834b632f5e40189e743df",
+        "deployments.csv": "ccc2392cf3d8efe3364fefed1250593aa4196f99922c35e62f5f982a7ae411dc",
+    },
+    "maars-nominal": {
+        "metrics.json": "3b40b11b672d12e39dea2409864b8eb9bf10aa79ddde0d246bf86d9cae6bbfdc",
+        "trace.csv": "7e8eb2bfcb8eea77e6f0ea869ebfe594ae8e4a3ae59f6354bddc72c27191aa79",
+        "deployments.csv": "fdc12929a832750789a9fd62c6561b6366a9a52f0a7f5f02cb8bc73d9fbcc217",
+    },
+    "shuffle": {
+        "metrics.json": "6782eccb7189654dda84c6d36b883661ec40933414d9a630b4912c9ec092c5d5",
+        "trace.csv": "69cdda9302ec29e7504057e81f0b5df9aa815d53e32a798724042428705c59e2",
+        "deployments.csv": "b83076f6a1ba31a886942baf5f05f0536bfbf1b6f9f0bfaa528c2565b4506278",
+    },
+    "static": {
+        "metrics.json": "3d174b4fbeeb34ae0b697be041855d2d1fc328e26f6360a6e2cec4c5037e6fdb",
+        "trace.csv": "e88fa4153b118bfb8294535ccb6cc2b0841afd293355cd31ed31d166d55663a7",
+    },
+}
+GOLDEN_SCENARIO = {"compromised_task_id": 5, "victim_id": 2, "injection": "bias",
+                   "value": 50.0}
+
+
+@pytest.fixture(scope="module")
+def golden_stores(tmp_path_factory):
+    """The maars store of `analyze` and the shuffle store of `baseline` on
+    automotive_lu, plus the attack scenario file."""
+    root = tmp_path_factory.mktemp("golden")
+    for command, seeds in (("analyze", "1"), ("baseline", "3")):
+        code = main([command, "--taskset", "automotive_lu", "--seeds", seeds,
+                     "--out", str(root / command)])
+        assert code == EXIT_OK
+    (root / "scenario.json").write_text(json.dumps(GOLDEN_SCENARIO))
+    return root
+
+
+def golden_argv(arm: str, root, out) -> list[str]:
+    scenario = ["--scenario", str(root / "scenario.json")]
+    argv = {
+        "maars-attack": ["--policy", "maars", "--store", str(root / "analyze" / "store.json"),
+                         "--epochs", "12", "--seed-base", "3", *scenario],
+        "maars-nominal": ["--policy", "maars", "--store", str(root / "analyze" / "store.json"),
+                          "--epochs", "12", "--seed-base", "4"],
+        "static": ["--policy", "static", "--epochs", "6", "--seed-base", "1", *scenario],
+        "shuffle": ["--policy", "shuffle", "--store", str(root / "baseline" / "store.json"),
+                    "--epochs", "10", "--seed-base", "2", *scenario],
+    }[arm]
+    return ["simulate", "--taskset", "automotive_lu", "--out", str(out), *argv]
+
+
+@pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))
+def test_simulate_outputs_match_golden(arm, golden_stores, tmp_path):
+    assert main(golden_argv(arm, golden_stores, tmp_path)) == EXIT_OK
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("metrics.json", "trace.csv", "deployments.csv")
+        if (tmp_path / name).exists()
+    }
+    assert got == SIMULATE_GOLDEN[arm]

@@ -1,12 +1,13 @@
 """Closed-loop co-simulation: nominal convergence, tampering, policies."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from maars.cosim import (
     AttackScenario,
     _fit_metrics,
-    attack_success_rate,
     run_scenario,
     save_trace_csv,
 )
@@ -74,7 +75,7 @@ class TestTampering:
         per_epoch = attack_count(sched, lu_ts.task(2), {5})
         assert metrics.victim_hits == 3 * per_epoch
         assert metrics.victim_jobs == 3 * (sched.length // 10)
-        assert attack_success_rate(metrics) == metrics.attack_success_rate
+        assert metrics.attack_success_rate == Fraction(3 * per_epoch, metrics.victim_jobs)
 
     def test_attack_raises_detector_statistic(self, lu_ts, plants):
         sc = AttackScenario(5, 2, injection="bias", value=50.0)

@@ -27,15 +27,15 @@ class TestCounterRng:
 
 class TestResolveFlag:
     def test_empty_is_normal(self, minimal_store):
-        assert resolve_flag(minimal_store, []) == 0
+        assert resolve_flag(minimal_store.taskset, []) == 0
 
     def test_highest_criticality_wins(self, minimal_store):
         # task 1 criticality 2 > task 2 criticality 1
-        assert resolve_flag(minimal_store, [2, 1]) == 1
+        assert resolve_flag(minimal_store.taskset, [2, 1]) == 1
 
     def test_unknown_id_rejected(self, minimal_store):
         with pytest.raises(ValueError):
-            resolve_flag(minimal_store, [99])
+            resolve_flag(minimal_store.taskset, [99])
 
 
 class TestSchedSel:
