@@ -1,6 +1,7 @@
 """Command-line pipeline driver.
 
-Three commands share one flag set:
+Three commands; each accepts only the flags it uses (a flag another command
+takes is a usage error, exit 2):
 
 * ``analyze``  — prune period menus (performance + security), generate a
   schedule pool, quantify vulnerability, build the runtime store, and emit
@@ -101,6 +102,8 @@ def load_scenario(path: str | None) -> AttackScenario | None:
         return None
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"scenario {path} is not a JSON object")
     try:
         return AttackScenario(
             compromised_task_id=data["compromised_task_id"],
@@ -389,41 +392,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--taskset", required=True,
-                       help="bundled taskset name or path to a JSON config")
-        p.add_argument("--plants", default=None,
-                       help="directory of plant JSON configs (default: bundled)")
-        p.add_argument("--policy", choices=["static", "shuffle", "maars"],
-                       default="maars")
-        p.add_argument("--seeds", type=int, default=100,
-                       help="randomized schedules per period assignment")
-        p.add_argument("--seed-base", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=50,
-                       help="hyper-periods to simulate")
-        p.add_argument("--scenario", default=None,
-                       help="attack scenario JSON file")
-        p.add_argument("--out", default=os.environ.get("MAARS_OUT", "maars-out"))
-        p.add_argument("--exhaustive", action="store_true",
-                       help="enumerate every feasible schedule instead of sampling")
-        p.add_argument("--exhaustive-budget", type=int, default=200_000)
-        p.add_argument("--gamma", type=float, default=DEFAULT_DECAY_RATE,
-                       help="target continuous-time decay rate (negative)")
-        p.add_argument("--noise-scale", type=float, default=1.0)
-        p.add_argument("--store", default=None,
-                       help="path to a prebuilt store.json (simulate only)")
-
-    p_an = sub.add_parser("analyze", help="full pruning + vulnerability pipeline")
-    common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_base = sub.add_parser("baseline", help="attack-unaware single-rate baseline")
-    common(p_base)
-    p_base.set_defaults(func=cmd_baseline)
-
-    p_sim = sub.add_parser("simulate", help="closed-loop co-simulation")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    flags = {
+        "--taskset": dict(required=True,
+                          help="bundled taskset name or path to a JSON config"),
+        "--plants": dict(default=None,
+                         help="directory of plant JSON configs (default: bundled)"),
+        "--seed-base": dict(type=int, default=0),
+        "--out": dict(default=os.environ.get("MAARS_OUT", "maars-out")),
+        "--policy": dict(choices=["static", "shuffle", "maars"], default="maars"),
+        "--seeds": dict(type=int, default=100,
+                        help="randomized schedules per period assignment"),
+        "--exhaustive": dict(action="store_true",
+                             help="enumerate every feasible schedule instead of sampling"),
+        "--exhaustive-budget": dict(type=int, default=200_000),
+        "--gamma": dict(type=float, default=DEFAULT_DECAY_RATE,
+                        help="target continuous-time decay rate (negative)"),
+        "--epochs": dict(type=int, default=50, help="hyper-periods to simulate"),
+        "--scenario": dict(default=None, help="attack scenario JSON file"),
+        "--store": dict(default=None, help="path to a prebuilt store.json"),
+        "--noise-scale": dict(type=float, default=1.0),
+    }
+    shared = ["--taskset", "--plants", "--seed-base", "--out"]
+    sampling = ["--seeds", "--exhaustive", "--exhaustive-budget"]
+    commands = [
+        ("analyze", "full pruning + vulnerability pipeline", cmd_analyze,
+         ["--policy", *sampling, "--gamma"]),
+        ("baseline", "attack-unaware single-rate baseline", cmd_baseline, sampling),
+        ("simulate", "closed-loop co-simulation", cmd_simulate,
+         ["--policy", "--epochs", "--scenario", "--store", "--gamma", "--noise-scale"]),
+    ]
+    for name, summary, func, own in commands:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in shared + own:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 

@@ -23,7 +23,7 @@ from .control import Detector, DiscretizedLoop, PlantModel, calibrate_threshold,
 from .runtime import SelectorState, make_selector, resolve_flag, run_epoch
 from .schedgen import Schedule, simulate_fixed_priority
 from .taskmodel import ConfigError, TaskSet, TrustedTask
-from .vulnerability import ScheduleStore, analyze, svt
+from .vulnerability import ScheduleStore, analyze, completion_slot, exposure_window, svt
 
 DIVERGENCE_BOUND = 1e6
 
@@ -194,24 +194,19 @@ class CoSimWorld:
             sim.set_period(sched.spec.period_of(task_id))
             sim.alarmed = False
 
-        # completion slot and deadline of every trusted job, plus the AEW
-        # ownership map for the attack predicate
-        completions: dict[int, list[int]] = {
-            t.id: sched.completion_slots(t.id, t.wcet) for t in ts.trusted
-        }
-        aew_owner: dict[int, tuple[int, int]] = {}  # slot -> (victim id, completion)
-        if self.scenario is not None:
-            victim = ts.task(self.scenario.victim_id)
-            period = sched.spec.period_of(victim.id)
-            for c in completions[victim.id]:
-                deadline = (c // period + 1) * period
-                for k in range(1, victim.aew + 1):
-                    if c + k < deadline:
-                        aew_owner[c + k] = (victim.id, c)
+        # the slots where a trusted job completes, plus the AEW of each victim
+        # job (slot -> the job's completion) for the attack predicate
+        completions: set[int] = set()
+        aew_owner: dict[int, int] = {}
+        for t in ts.trusted:
+            p = sched.spec.period_of(t.id)
+            for job in range(l // p):
+                c = completion_slot(sched.slots, t.id, t.wcet, p, job)
+                completions.add(c)
+                if self.scenario is not None and t.id == self.scenario.victim_id:
+                    for slot in exposure_window(c, t.aew, p):
+                        aew_owner[slot] = c
 
-        completion_lookup = {
-            (tid, slot) for tid, slots in completions.items() for slot in slots
-        }
         hit_jobs: set[int] = set()
         for t_slot in range(l):
             running = sched.slots[t_slot]
@@ -226,7 +221,7 @@ class CoSimWorld:
                         self.diverged = True
             if self.diverged:
                 break
-            if running in self.loops and (running, t_slot) in completion_lookup:
+            if running in self.loops and t_slot in completions:
                 self.loops[running].job_complete()
             if (
                 attack_on
@@ -234,10 +229,10 @@ class CoSimWorld:
                 and running == self.scenario.compromised_task_id
                 and t_slot in aew_owner
             ):
-                victim_id, c = aew_owner[t_slot]
+                victim_id = self.scenario.victim_id
                 if victim_id in self.loops:
                     self.loops[victim_id].tamper(self.scenario.injection, self.scenario.value)
-                hit_jobs.add(c)
+                hit_jobs.add(aew_owner[t_slot])
             if self.trace_enabled:
                 self._record(t_slot, running)
             self.time_slots += 1

@@ -36,29 +36,6 @@ class Schedule:
     def length(self) -> int:
         return len(self.slots)
 
-    def job_index(self, slot: int) -> int:
-        """Arrival index of the job occupying ``slot`` (jobs never execute
-        outside their own period window, so this is slot // period)."""
-        task_id = self.slots[slot]
-        if task_id == 0:
-            raise ValueError(f"slot {slot} is idle")
-        return slot // self.spec.period_of(task_id)
-
-    def task_slots(self, task_id: int) -> list[int]:
-        return [j for j, s in enumerate(self.slots) if s == task_id]
-
-    def completion_slots(self, task_id: int, wcet: int) -> list[int]:
-        """Slots where a job of ``task_id`` receives its final execution unit."""
-        period = self.spec.period_of(task_id)
-        per_job: dict[int, int] = {}
-        result = []
-        for j in self.task_slots(task_id):
-            job = j // period
-            per_job[job] = per_job.get(job, 0) + 1
-            if per_job[job] == wcet:
-                result.append(j)
-        return result
-
     def content_hash(self) -> str:
         payload = (tuple(self.spec.all_periods()), self.slots)
         return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]

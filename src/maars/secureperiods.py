@@ -68,35 +68,18 @@ def prune_security(
     task: TrustedTask,
     performance_periods: list[int],
     untrusted: list[UntrustedTask],
-    policy: str = "all-attackers",
-    designated: int | None = None,
 ) -> list[int]:
-    """Keep the base period plus the admissible candidates.
-
-    policy="all-attackers": a candidate survives only if it is at least
+    """Keep the base period plus the candidates that are at least
     relaxed-admissible for every untrusted task (the designer does not know
-    which one is compromised). policy="designated-attacker": judged against
-    ``designated`` only.
-    """
+    which one is compromised)."""
     base = task.min_period
     if base not in performance_periods:
         raise ValueError(f"task {task.id}: base period missing from candidates")
-    if policy == "designated-attacker":
-        if designated is None:
-            raise ValueError("designated-attacker policy needs an attacker id")
-        judges = [u for u in untrusted if u.id == designated]
-        if not judges:
-            raise ValueError(f"no untrusted task with id {designated}")
-    elif policy == "all-attackers":
-        judges = list(untrusted)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-
     kept = [base]
     for p in sorted(performance_periods):
         if p == base:
             continue
-        if not judges or classify(task, p, judges).admissible_for_all():
+        if classify(task, p, untrusted).admissible_for_all():
             kept.append(p)
     if len(kept) == 1 and len(performance_periods) > 1:
         log.warning(

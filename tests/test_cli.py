@@ -123,18 +123,26 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--store", str(lu_store), "--out", str(tmp_path)]
-    if case == "truncated-store":
+    corrupt = {
+        "truncated-store": lambda d: d["records"].pop(),
+        "store-missing-lut": lambda d: d.pop("lut"),
+        "store-bad-svt": lambda d: d.update(svt="abc"),
+    }
+    if case in corrupt:
         data = json.loads(lu_store.read_text())
-        data["records"].pop()
-        path = tmp_path / "truncated.json"
+        corrupt[case](data)
+        path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(data))
         return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
                 "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
-    roles = {"untrusted-victim": (5, 6), "trusted-attacker": (1, 2)}[case]
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(
-        {"compromised_task_id": roles[0], "victim_id": roles[1]}
-    ))
+    if case == "scenario-not-object":
+        scenario.write_text("[1, 2]")
+    else:
+        roles = {"untrusted-victim": (5, 6), "trusted-attacker": (1, 2)}[case]
+        scenario.write_text(json.dumps(
+            {"compromised_task_id": roles[0], "victim_id": roles[1]}
+        ))
     return ["simulate", "--taskset", "automotive_lu", "--policy", "static",
             "--epochs", "1", "--scenario", str(scenario), "--out", str(tmp_path)]
 
@@ -160,13 +168,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "exhaustive-budget", "foreign-store", "truncated-store",
-        "untrusted-victim", "trusted-attacker",
+        "untrusted-victim", "trusted-attacker", "store-missing-lut",
+        "store-bad-svt", "scenario-not-object",
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--scenario", "/nonexistent"],
+        ["analyze", "--store", "/nonexistent"],
+        ["analyze", "--epochs", "9"],
+        ["baseline", "--policy", "maars"],
+        ["baseline", "--gamma", "-1"],
+        ["simulate", "--seeds", "5"],
+        ["simulate", "--exhaustive"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_of_another_command_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--taskset", "minimal", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPruneMenus:
@@ -237,6 +261,19 @@ def golden_argv(arm: str, root, out) -> list[str]:
                     "--epochs", "10", "--seed-base", "2", *scenario],
     }[arm]
     return ["simulate", "--taskset", "automotive_lu", "--out", str(out), *argv]
+
+
+# sha256 of the store.json that `golden_stores` builds with each command.
+STORE_GOLDEN = {
+    "analyze": "6c8905bf67f9b66594f3623ab31ae3a4b98de2f2f069ae516dc38d93abdd8f72",
+    "baseline": "4408869ced5c5fbc5254b0565e03d37dbbd495339af7d6e412bfea8aaa544393",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STORE_GOLDEN))
+def test_store_matches_golden(command, golden_stores):
+    got = hashlib.sha256((golden_stores / command / "store.json").read_bytes()).hexdigest()
+    assert got == STORE_GOLDEN[command]
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

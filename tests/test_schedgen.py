@@ -30,16 +30,6 @@ class TestFixedPriority:
         assert sched.provenance == "fixed-priority"
         assert validate_schedule(minimal_ts, sched) == []
 
-    def test_job_index_and_completions(self, minimal_ts, spec2):
-        sched = simulate_fixed_priority(minimal_ts, spec2)
-        assert sched.job_index(0) == 0
-        assert sched.job_index(2) == 1
-        assert sched.completion_slots(1, 1) == [0, 2]
-        with pytest.raises(ValueError):
-            simulate_fixed_priority(
-                minimal_ts, TaskSpec(periods=(3, 4), untrusted_periods=(4,))
-            ).job_index(11)  # idle slot
-
 
 class TestShuffle:
     def test_valid_and_deterministic(self, minimal_ts):

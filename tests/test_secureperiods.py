@@ -53,17 +53,10 @@ class TestPrune:
         kept = prune_security(victim(menus), menus, [ATTACKER])
         # 12 strict, 15 relaxed, 20 (k'=0) dropped
         assert kept == [10, 12, 15]
-
-    def test_designated_attacker_policy(self):
-        menus = [10, 12, 15]
+        # every untrusted task judges: k' = 2 and 5 are both below the
+        # second attacker's e = 6
         weak = UntrustedTask(id=9, period=40, wcet=6)
-        kept = prune_security(
-            victim(menus), menus, [ATTACKER, weak],
-            policy="designated-attacker", designated=2,
-        )
-        assert kept == [10, 12, 15]
-        kept_all = prune_security(victim(menus), menus, [ATTACKER, weak])
-        assert kept_all == [10]  # k'=2,5 both < 6 for the weak attacker
+        assert prune_security(victim(menus), menus, [ATTACKER, weak]) == [10]
 
     def test_base_always_kept(self):
         kept = prune_security(victim([10, 11]), [10, 11], [ATTACKER])
