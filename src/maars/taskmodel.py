@@ -12,7 +12,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +122,15 @@ class TaskSet:
         if q < task_id <= self.n_tasks:
             return self.untrusted[task_id - q - 1]
         raise KeyError(task_id)
+
+    @cached_property
+    def criticality_levels(self) -> Mapping[int, Fraction]:
+        """Criticality values normalized to sum 1, keyed by trusted task id.
+        Computed once per task set and read-only, since every caller shares
+        it."""
+        crit = {t.id: Fraction(t.criticality).limit_denominator(10**6) for t in self.trusted}
+        total = sum(crit.values())
+        return MappingProxyType({i: c / total for i, c in crit.items()})
 
     def trusted_ids(self) -> list[int]:
         return [t.id for t in self.trusted]

@@ -38,7 +38,6 @@ from maars.vulnerability import (
     analyze,
     attack_count,
     build_store,
-    criticality_levels,
     harden_schedule,
     svi,
     svt,
@@ -127,7 +126,7 @@ def test_criterion_06_ap_svi_oracle_equivalence(minimal_ts, ladder_ts):
     n = 0
     for ts in (minimal_ts, ladder_ts):
         uids = set(ts.untrusted_ids())
-        levels = criticality_levels(ts)
+        levels = ts.criticality_levels
         for spec in enumerate_specs(ts):
             for sched in enumerate_all(ts, spec):
                 total = Fraction(0)
@@ -178,7 +177,7 @@ def test_criterion_07_trend_reproduction(lu_ts, hu_ts, plants):
         assert maars_below > base_below, label
     elapsed = time.perf_counter() - t0
     print(f"[criterion 7] total {elapsed:.1f}s")
-    assert elapsed < 300.0
+    assert elapsed < 60.0
 
 
 def test_criterion_08_selector_invariants(minimal_store):

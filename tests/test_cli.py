@@ -114,6 +114,12 @@ class TestSimulate:
         assert metrics["policy"] == "maars"
 
 
+def break_a_job(store: dict) -> None:
+    """Replace one unit of task 2 by idle in every schedule of the store."""
+    for rec in store["pool"]["schedules"]:
+        rec["slots"][rec["slots"].index(2)] = 0
+
+
 def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     """argv of a command that must end in a configuration error."""
     lu_store = stores / "analyze" / "store.json"
@@ -127,6 +133,7 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
         "truncated-store": lambda d: d["records"].pop(),
         "store-missing-lut": lambda d: d.pop("lut"),
         "store-bad-svt": lambda d: d.update(svt="abc"),
+        "store-broken-job": break_a_job,
     }
     if case in corrupt:
         data = json.loads(lu_store.read_text())
@@ -169,7 +176,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "exhaustive-budget", "foreign-store", "truncated-store",
         "untrusted-victim", "trusted-attacker", "store-missing-lut",
-        "store-bad-svt", "scenario-not-object",
+        "store-bad-svt", "scenario-not-object", "store-broken-job",
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
