@@ -8,13 +8,16 @@ takes is a usage error, exit 2):
   reports (periods.json, pool.json, store.json, vuln.csv, ir.csv,
   summary.txt).
 * ``baseline`` — the attack-unaware comparison: minimum rates only, no
-  security pruning, same reports.
+  security pruning, same reports (with ``--seeds 0``, the fixed-priority
+  schedule alone).
 * ``simulate`` — closed-loop co-simulation of a deployment policy against a
-  scripted attack scenario (deployment log, trace CSV, metrics JSON).
+  scripted attack scenario (deployment log, trace CSV, metrics JSON); it
+  deploys the store of ``analyze`` or ``baseline`` as it was built.
 
-Exit codes: 0 success, 2 configuration error (also a store that belongs to
-another task set or fails its load checks, a scenario whose roles do not
-match the task set, or an exhaustive enumeration over its budget),
+Exit codes: 0 success, 2 configuration error (also a malformed task-set,
+plant or scenario file, a store that belongs to another task set or fails
+its load checks, a scenario whose roles do not match the task set, or an
+exhaustive enumeration over its budget),
 3 infeasible (unschedulable task set, no stabilizable period menu, or an
 empty schedule store).
 """
@@ -98,6 +101,8 @@ def resolve_plants(taskset: TaskSet, plants_dir: str | None) -> dict[str, PlantM
 
 
 def load_scenario(path: str | None) -> AttackScenario | None:
+    """Read an attack scenario; a field of the wrong type or an unknown
+    injection model raises ConfigError."""
     if path is None:
         return None
     with open(path) as fh:
@@ -105,7 +110,7 @@ def load_scenario(path: str | None) -> AttackScenario | None:
     if not isinstance(data, dict):
         raise ConfigError(f"scenario {path} is not a JSON object")
     try:
-        return AttackScenario(
+        scenario = AttackScenario(
             compromised_task_id=data["compromised_task_id"],
             victim_id=data["victim_id"],
             injection=data.get("injection", "replace"),
@@ -115,6 +120,20 @@ def load_scenario(path: str | None) -> AttackScenario | None:
         )
     except KeyError as exc:
         raise ConfigError(f"scenario file missing field {exc}") from exc
+    fields = {
+        "compromised_task_id": (int,),
+        "victim_id": (int,),
+        "value": (int, float),
+        "start_epoch": (int,),
+        "duration_epochs": (int, type(None)),
+    }
+    for name, types in fields.items():
+        value = getattr(scenario, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"scenario field {name!r} has the wrong type: {value!r}")
+    if scenario.injection not in ("replace", "bias"):
+        raise ConfigError(f"unknown injection model {scenario.injection!r}")
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +268,9 @@ def write_summary(
 
 
 def cmd_analyze(args) -> int:
+    """``analyze`` runs MAARS: pruned menus, attack-aware schedules, each
+    hardened. ``baseline`` runs the attack-unaware comparison: minimum rates,
+    no pruning, shuffled schedules (fixed-priority ones with --seeds 0)."""
     taskset = resolve_taskset(args.taskset)
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
@@ -257,20 +279,18 @@ def cmd_analyze(args) -> int:
     if not is_schedulable(taskset):
         raise Infeasible("task set unschedulable at minimum periods")
 
-    single_rate = args.policy == "static" or args.policy == "shuffle"
-    if single_rate:
-        pruned, provenance = taskset, None
-        specs = [taskset.min_period_spec()]
-    else:
+    maars = args.command == "analyze"
+    if maars:
         pruned, provenance = prune_menus(taskset, plants, args.gamma)
         specs = feasible_specs(pruned)
         if not specs:
             raise Infeasible("no feasible period assignment after pruning")
         (out / "periods.json").write_text(json.dumps(provenance, indent=2) + "\n")
+    else:
+        pruned, provenance = taskset, None
+        specs = [taskset.min_period_spec()]
 
-    if args.policy == "static":
-        pool = generate_pool(pruned, specs, seeds_per_spec=0)
-    elif args.exhaustive:
+    if args.exhaustive:
         pool = generate_pool(
             pruned, specs, exhaustive=True, budget=args.exhaustive_budget
         )
@@ -280,9 +300,9 @@ def cmd_analyze(args) -> int:
             specs,
             seeds_per_spec=args.seeds,
             seed_base=args.seed_base,
-            attack_aware=args.policy == "maars",
+            attack_aware=maars,
         )
-        if args.policy == "maars":
+        if maars:
             hardened, seen = [], set()
             for s in pool:
                 h = harden_schedule(s, pruned)
@@ -299,18 +319,12 @@ def cmd_analyze(args) -> int:
     serialized_bytes = save_store(store, out / "store.json")
     export_reports_csv(store, out / "vuln.csv")
     write_ir_csv(store, out / "ir.csv")
-    label = "analyze" if args.policy == "maars" else f"analyze ({args.policy})"
     write_summary(
-        out / "summary.txt", pruned, store, serialized_bytes, provenance, len(specs), label
+        out / "summary.txt", pruned, store, serialized_bytes, provenance, len(specs),
+        args.command,
     )
     print((out / "summary.txt").read_text(), end="")
     return EXIT_OK
-
-
-def cmd_baseline(args) -> int:
-    """Attack-unaware baseline: minimum rates, no security pruning."""
-    args.policy = "shuffle"
-    return cmd_analyze(args)
 
 
 def cmd_simulate(args) -> int:
@@ -328,14 +342,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError(
                 f"store {store_path} not found; run `maars analyze` first"
             )
+        store = load_store(store_path, taskset)
         if args.policy == "shuffle":
-            # the attack-unaware store was built without pruning; deploy from
-            # the whole pool regardless of the vulnerability threshold
-            store = load_store(store_path, taskset)
+            # deploy from the whole pool regardless of the vulnerability
+            # threshold, as an attack-unaware system would
             store.k_threshold = len(store.schedules)
-        else:
-            pruned, _ = prune_menus(taskset, plants, args.gamma)
-            store = load_store(store_path, pruned)
         selector = make_selector(store, seed=args.seed_base)
 
     policy = "static" if args.policy == "static" else "maars"
@@ -416,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     sampling = ["--seeds", "--exhaustive", "--exhaustive-budget"]
     commands = [
         ("analyze", "full pruning + vulnerability pipeline", cmd_analyze,
-         ["--policy", *sampling, "--gamma"]),
-        ("baseline", "attack-unaware single-rate baseline", cmd_baseline, sampling),
+         [*sampling, "--gamma"]),
+        ("baseline", "attack-unaware single-rate baseline", cmd_analyze, sampling),
         ("simulate", "closed-loop co-simulation", cmd_simulate,
-         ["--policy", "--epochs", "--scenario", "--store", "--gamma", "--noise-scale"]),
+         ["--policy", "--epochs", "--scenario", "--store", "--noise-scale"]),
     ]
     for name, summary, func, own in commands:
         p = sub.add_parser(name, help=summary)

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
+from .taskmodel import ConfigError
+
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
 
@@ -271,20 +273,27 @@ def plant_to_dict(plant: PlantModel) -> dict:
 
 
 def plant_from_dict(data: dict) -> PlantModel:
-    det = data.get("detector", {})
-    return PlantModel(
-        name=data["name"],
-        A=np.array(data["A"]),
-        B=np.array(data["B"]),
-        C=np.array(data["C"]),
-        W=np.array(data["W"]),
-        V=np.array(data["V"]),
-        Q=np.array(data["Q"]),
-        R=np.array(data["R"]),
-        detector_window=det.get("window", 1),
-        detector_threshold=det.get("threshold"),
-        far_target=det.get("far_target", 0.02),
-    )
+    """Parse a plant config; a missing key, a value of the wrong type or
+    matrices of inconsistent size raise ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError("plant config is not a JSON object")
+    try:
+        det = data.get("detector", {})
+        return PlantModel(
+            name=data["name"],
+            A=np.array(data["A"]),
+            B=np.array(data["B"]),
+            C=np.array(data["C"]),
+            W=np.array(data["W"]),
+            V=np.array(data["V"]),
+            Q=np.array(data["Q"]),
+            R=np.array(data["R"]),
+            detector_window=det.get("window", 1),
+            detector_threshold=det.get("threshold"),
+            far_target=det.get("far_target", 0.02),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed plant config ({type(exc).__name__}: {exc})") from exc
 
 
 def load_plant(path: str | Path) -> PlantModel:

@@ -4,7 +4,7 @@ Folds an observed timeline into rows of the victim's minimum period so all
 victim arrivals align in one column, then derives the columns where a
 compromised lower-priority task arrives (AAI) and actually executes (AEI).
 Columns in AAI but never in AEI are preemption shadows: candidate victim
-arrival columns. Columns are 0-indexed internally; renderers show 1-indexed.
+arrival columns. Columns are 0-indexed.
 """
 
 from __future__ import annotations
@@ -87,29 +87,3 @@ def inferability_ratio(lv: LadderView) -> Fraction:
     if n_aai < 1:
         raise ValueError("attacker never arrives in the observation window")
     return Fraction(len(lv.aei) % n_aai, n_aai)
-
-
-def render_ladder(timeline: list[int], lv: LadderView, sep: str = " ") -> str:
-    """Plain-text grid of the folded timeline (1-indexed column header)."""
-    row = lv.row_length
-    lines = [sep.join(f"c{c+1:>2}" for c in range(row))]
-    for start in range(0, lv.observation_slots, row):
-        chunk = timeline[start : start + row]
-        lines.append(sep.join(f"{s:>3}" for s in chunk))
-    marks = [
-        "AAI" if c in lv.aai else "   " for c in range(row)
-    ]
-    lines.append(sep.join(f"{m:>3}" for m in marks))
-    marks = [
-        "AEI" if c in lv.aei else "   " for c in range(row)
-    ]
-    lines.append(sep.join(f"{m:>3}" for m in marks))
-    return "\n".join(lines)
-
-
-def render_ladder_csv(timeline: list[int], lv: LadderView) -> str:
-    row = lv.row_length
-    lines = [",".join(str(c + 1) for c in range(row))]
-    for start in range(0, lv.observation_slots, row):
-        lines.append(",".join(str(s) for s in timeline[start : start + row]))
-    return "\n".join(lines) + "\n"

@@ -202,8 +202,3 @@ def save_pool(taskset: TaskSet, pool: list[Schedule], path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(pool_to_dict(taskset, pool), fh)
         fh.write("\n")
-
-
-def load_pool(path: str | Path) -> list[Schedule]:
-    with open(path) as fh:
-        return pool_from_dict(json.load(fh))

@@ -244,6 +244,8 @@ def taskset_to_dict(taskset: TaskSet) -> dict:
 
 
 def taskset_from_dict(data: dict) -> TaskSet:
+    if not isinstance(data, dict):
+        raise ConfigError("taskset config is not a JSON object")
     if data.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported taskset schema version {data.get('version')}")
     try:

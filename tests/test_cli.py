@@ -1,10 +1,18 @@
 """Command-line pipeline: artifacts, exit codes, policy wiring."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maars.cli
+from maars import data_path
 from maars.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -12,8 +20,10 @@ from maars.cli import (
     feasible_specs,
     main,
     prune_menus,
+    write_ir_csv,
 )
 from maars.taskmodel import save_taskset, taskset_to_dict
+from maars.vulnerability import export_reports_csv, load_store
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +31,7 @@ def analyzed(tmp_path_factory):
     """One exhaustive analyze run over the minimal task set, shared."""
     out = tmp_path_factory.mktemp("analyzed")
     code = main(
-        ["analyze", "--taskset", "minimal", "--policy", "maars",
-         "--exhaustive", "--out", str(out)]
+        ["analyze", "--taskset", "minimal", "--exhaustive", "--out", str(out)]
     )
     assert code == EXIT_OK
     return out
@@ -52,8 +61,7 @@ class TestAnalyze:
 
     def test_maars_policy_writes_period_provenance(self, tmp_path):
         code = main(
-            ["analyze", "--taskset", "minimal", "--policy", "maars",
-             "--seeds", "4", "--out", str(tmp_path)]
+            ["analyze", "--taskset", "minimal", "--seeds", "4", "--out", str(tmp_path)]
         )
         assert code == EXIT_OK
         provenance = json.loads((tmp_path / "periods.json").read_text())
@@ -100,8 +108,7 @@ class TestSimulate:
     def test_maars_round_trip(self, tmp_path):
         out = tmp_path / "run"
         code = main(
-            ["analyze", "--taskset", "minimal", "--policy", "maars",
-             "--seeds", "4", "--out", str(out)]
+            ["analyze", "--taskset", "minimal", "--seeds", "4", "--out", str(out)]
         )
         assert code == EXIT_OK
         code = main(
@@ -120,6 +127,32 @@ def break_a_job(store: dict) -> None:
         rec["slots"][rec["slots"].index(2)] = 0
 
 
+def move_task_1_to_period_20(store: dict) -> None:
+    """Give task 1 of a period-10 schedule period 20, which is not in its
+    menu, and drop every second unit of it, so the slots still fit."""
+    rec = next(r for r in store["pool"]["schedules"] if r["periods"][0] == 10)
+    rec["periods"][0] = 20
+    units = [j for j, task in enumerate(rec["slots"]) if task == 1]
+    for j in units[1::2]:
+        rec["slots"][j] = 0
+
+
+CORRUPT_STORE = {
+    "store-missing-taskset": lambda d: d.pop("taskset"),
+    "store-missing-pool": lambda d: d.pop("pool"),
+    "store-changed-tap": lambda d: d["taskset"]["trusted"][0].update(tap=0.3),
+    "store-widened-menu": lambda d: d["taskset"]["trusted"][0]["periods"].append(40),
+    "store-bad-svt": lambda d: d.update(svt="abc"),
+    "store-broken-job": break_a_job,
+    "store-period-outside-menu": move_task_1_to_period_20,
+}
+BAD_SCENARIO = {
+    "scenario-bad-injection": {"injection": "flip"},
+    "scenario-value-not-number": {"injection": "bias", "value": "x"},
+    "scenario-start-epoch-string": {"start_epoch": "1"},
+}
+
+
 def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     """argv of a command that must end in a configuration error."""
     lu_store = stores / "analyze" / "store.json"
@@ -129,29 +162,44 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--store", str(lu_store), "--out", str(tmp_path)]
-    corrupt = {
-        "truncated-store": lambda d: d["records"].pop(),
-        "store-missing-lut": lambda d: d.pop("lut"),
-        "store-bad-svt": lambda d: d.update(svt="abc"),
-        "store-broken-job": break_a_job,
-    }
-    if case in corrupt:
+    if case == "truncated-store":
+        text = lu_store.read_text()
+        path = tmp_path / "truncated.json"
+        path.write_text(text[: len(text) // 2])
+        return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
+                "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
+    if case in CORRUPT_STORE:
         data = json.loads(lu_store.read_text())
-        corrupt[case](data)
+        CORRUPT_STORE[case](data)
         path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(data))
         return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
                 "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
+    static = ["simulate", "--policy", "static", "--epochs", "1", "--out", str(tmp_path)]
+    if case == "taskset-not-object":
+        path = tmp_path / "taskset.json"
+        path.write_text("[1, 2]")
+        return [*static, "--taskset", str(path)]
+    static += ["--taskset", "automotive_lu"]
+    if case == "plant-missing-A":
+        for src in data_path("plants").glob("*.json"):
+            plant = json.loads(src.read_text())
+            plant.pop("A")
+            (tmp_path / src.name).write_text(json.dumps(plant))
+        return [*static, "--plants", str(tmp_path)]
     scenario = tmp_path / "scenario.json"
     if case == "scenario-not-object":
         scenario.write_text("[1, 2]")
+    elif case in BAD_SCENARIO:
+        scenario.write_text(json.dumps(
+            {"compromised_task_id": 5, "victim_id": 2, **BAD_SCENARIO[case]}
+        ))
     else:
         roles = {"untrusted-victim": (5, 6), "trusted-attacker": (1, 2)}[case]
         scenario.write_text(json.dumps(
             {"compromised_task_id": roles[0], "victim_id": roles[1]}
         ))
-    return ["simulate", "--taskset", "automotive_lu", "--policy", "static",
-            "--epochs", "1", "--scenario", str(scenario), "--out", str(tmp_path)]
+    return [*static, "--scenario", str(scenario)]
 
 
 class TestExitCodes:
@@ -169,14 +217,14 @@ class TestExitCodes:
         data["untrusted"][0] = {"id": 3, "period": 4, "wcet": 3}
         path = tmp_path / "overload.json"
         path.write_text(json.dumps(data))
-        code = main(["analyze", "--taskset", str(path), "--policy", "shuffle",
-                     "--out", str(tmp_path)])
+        code = main(["baseline", "--taskset", str(path), "--out", str(tmp_path)])
         assert code == EXIT_INFEASIBLE
 
     @pytest.mark.parametrize("case", [
-        "exhaustive-budget", "foreign-store", "truncated-store",
-        "untrusted-victim", "trusted-attacker", "store-missing-lut",
-        "store-bad-svt", "scenario-not-object", "store-broken-job",
+        "exhaustive-budget", "foreign-store", "truncated-store", "untrusted-victim",
+        "trusted-attacker",
+        "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
+        "plant-missing-A",
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
@@ -192,12 +240,78 @@ class TestExitCodes:
         ["baseline", "--gamma", "-1"],
         ["simulate", "--seeds", "5"],
         ["simulate", "--exhaustive"],
+        ["simulate", "--gamma", "-0.5"],
+        pytest.param(["analyze", "--policy", "maars"], id="analyze --policy maars"),
+        pytest.param(["analyze", "--policy", "shuffle"], id="analyze --policy shuffle"),
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_flag_of_another_command_is_usage_error(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--taskset", "minimal", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+DROP = object()
+
+
+def value_paths(doc, path=()):
+    """Paths to the values of a JSON document: the document itself, every
+    value of an object, and the first two items of an array."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc[:2]) if isinstance(doc, list) else ()
+    )
+    for key, value in items:
+        yield from value_paths(value, (*path, key))
+
+
+def mutated(doc, path, replacement):
+    """A copy of ``doc`` with the value at ``path`` dropped (DROP) or replaced."""
+    if not path:
+        return replacement
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return doc
+
+
+@pytest.fixture(scope="module")
+def minimal_documents(tmp_path_factory):
+    """A store document of the minimal task set and an attack scenario."""
+    out = tmp_path_factory.mktemp("minimal")
+    code = main(["analyze", "--taskset", "minimal", "--seeds", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    scenario = {"compromised_task_id": 3, "victim_id": 1, "injection": "bias",
+                "value": 1.0, "start_epoch": 0, "duration_epochs": 1}
+    return {"store": json.loads((out / "store.json").read_text()), "scenario": scenario}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
+    """Drop a key or an item of the store or the scenario, or replace a value
+    by one of another type: simulate exits 0, 2 or 3, with no traceback."""
+    docs = dict(minimal_documents)
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(value_paths(docs[name]))))
+    replacements = [None, True, -1, 7, 2.5, "x", [], {}] + ([DROP] if path else [])
+    docs[name] = mutated(docs[name], path, data.draw(st.sampled_from(replacements)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc_name, doc in docs.items():
+            (Path(tmp) / f"{doc_name}.json").write_text(json.dumps(doc))
+        argv = ["simulate", "--taskset", "minimal", "--policy", "maars",
+                "--store", f"{tmp}/store.json", "--scenario", f"{tmp}/scenario.json",
+                "--epochs", "2", "--out", tmp]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestPruneMenus:
@@ -270,10 +384,11 @@ def golden_argv(arm: str, root, out) -> list[str]:
     return ["simulate", "--taskset", "automotive_lu", "--out", str(out), *argv]
 
 
-# sha256 of the store.json that `golden_stores` builds with each command.
+# sha256 of the store.json that `golden_stores` builds with each command:
+# the task set the store was built for and its schedules in SVI order.
 STORE_GOLDEN = {
-    "analyze": "6c8905bf67f9b66594f3623ab31ae3a4b98de2f2f069ae516dc38d93abdd8f72",
-    "baseline": "4408869ced5c5fbc5254b0565e03d37dbbd495339af7d6e412bfea8aaa544393",
+    "analyze": "9dc7b2d7711a4f3fdc95bf466f1e9815e4f182836d175995edc80c44e245bac6",
+    "baseline": "591d9869aa81eb8a430e881efe78edfd92d0eac773c4b31cac0a630e946f9c79",
 }
 
 
@@ -281,6 +396,44 @@ STORE_GOLDEN = {
 def test_store_matches_golden(command, golden_stores):
     got = hashlib.sha256((golden_stores / command / "store.json").read_bytes()).hexdigest()
     assert got == STORE_GOLDEN[command]
+
+
+# sha256 of the vuln.csv and ir.csv that `golden_stores` writes with each
+# command: every stored schedule's counts, APs, SVI and inferability ratios,
+# which store.json does not hold but which are derived again on load.
+REPORT_GOLDEN = {
+    "analyze": {
+        "vuln.csv": "f7660ae2a5b4930fc160645f5147f209da754d2d9ccf205ffda71f72f129cb84",
+        "ir.csv": "72149c82f582e96988057c137cea57de4dfbb35c7f17b0cc47ff6d97a0f71fc2",
+    },
+    "baseline": {
+        "vuln.csv": "ceb16eaa32cab5243c4434b427b38698ffceab509ef6c3ebe16f1e046d4e5140",
+        "ir.csv": "82180949883d81f6b928d59cd0069fb6d9455fdf0b5fa1f550df6c92b53842f8",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
+def test_reports_match_golden(command, golden_stores, lu_ts, tmp_path):
+    """The reports of the built store and of the store loaded back."""
+    store = load_store(golden_stores / command / "store.json", lu_ts)
+    export_reports_csv(store, tmp_path / "vuln.csv")
+    write_ir_csv(store, tmp_path / "ir.csv")
+    for out in (golden_stores / command, tmp_path):
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in REPORT_GOLDEN[command]}
+        assert got == REPORT_GOLDEN[command]
+
+
+def test_simulate_deploys_the_store_without_pruning(golden_stores, tmp_path, monkeypatch):
+    def no_pruning(*args, **kwargs):
+        raise AssertionError("simulate pruned the period menus")
+
+    monkeypatch.setattr(maars.cli, "prune_menus", no_pruning)
+    argv = ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
+            "--store", str(golden_stores / "analyze" / "store.json"),
+            "--epochs", "2", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

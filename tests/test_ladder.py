@@ -8,8 +8,6 @@ from maars.ladder import (
     build_ladder,
     default_observation,
     inferability_ratio,
-    render_ladder,
-    render_ladder_csv,
     tile_timeline,
 )
 from maars.schedgen import simulate_fixed_priority
@@ -71,19 +69,3 @@ class TestTile:
 
     def test_default_observation_covers_two_repetitions(self):
         assert default_observation(4, 5) == 40
-
-
-class TestRender:
-    def test_text_render_marks_columns(self, demo):
-        ts, _, timeline = demo
-        lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0])
-        text = render_ladder(timeline, lv)
-        assert "AAI" in text and "AEI" in text
-        assert text.splitlines()[0].startswith("c")
-
-    def test_csv_render_shape(self, demo):
-        ts, _, timeline = demo
-        lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0])
-        lines = render_ladder_csv(timeline, lv).strip().splitlines()
-        assert len(lines) == 1 + lv.observation_slots // lv.row_length
-        assert lines[0] == "1,2,3,4"

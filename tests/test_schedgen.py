@@ -1,5 +1,7 @@
 """Schedule generation: validity, determinism, enumeration counts, pools."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from maars.schedgen import (
     aware_shuffle_schedule,
     enumerate_all,
     generate_pool,
-    load_pool,
+    pool_from_dict,
     save_pool,
     shuffle_schedule,
     simulate_fixed_priority,
@@ -96,7 +98,7 @@ class TestPool:
         pool = generate_pool(minimal_ts, specs, seeds_per_spec=3)
         path = tmp_path / "pool.json"
         save_pool(minimal_ts, pool, path)
-        again = load_pool(path)
+        again = pool_from_dict(json.loads(path.read_text()))
         assert [(s.spec, s.slots, s.provenance, s.seed) for s in again] == [
             (s.spec, s.slots, s.provenance, s.seed) for s in pool
         ]
