@@ -6,6 +6,7 @@ residue detector.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .taskmodel import ConfigError
+from .taskmodel import ConfigError, is_integer
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -25,6 +26,10 @@ class NumericsError(RuntimeError):
 
 class PeriodRejected(NumericsError):
     """Riccati iteration failed to converge or the gain is not stabilizing."""
+
+
+def _is_real(value) -> bool:
+    return (is_integer(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 @dataclass
@@ -47,18 +52,22 @@ class PlantModel:
     far_target: float = 0.02
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        self.V = np.atleast_2d(np.asarray(self.V, dtype=float))
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
+        for x in "ABCWVQR":
+            setattr(self, x, np.atleast_2d(np.asarray(getattr(self, x), dtype=float)))
+        n, m, k = self.A.shape[0], self.B.shape[-1], self.C.shape[0]
+        shapes = {"A": (n, n), "B": (n, m), "C": (k, n), "W": (n, n), "V": (k, k),
+                  "Q": (n, n), "R": (m, m)}
+        if any(getattr(self, x).shape != s for x, s in shapes.items()):
             raise ValueError(f"plant {self.name}: inconsistent matrix dimensions")
         if np.any(np.linalg.eigvalsh((self.R + self.R.T) / 2) <= 0):
             raise ValueError(f"plant {self.name}: R must be positive definite")
+        window, threshold, far = self.detector_window, self.detector_threshold, self.far_target
+        if not is_integer(window) or window < 1:
+            raise ValueError(f"detector window must be a positive integer, got {window!r}")
+        if threshold is not None and not _is_real(threshold):
+            raise ValueError(f"detector threshold must be a number or null, got {threshold!r}")
+        if not _is_real(far) or not 0 < far < 1:
+            raise ValueError(f"detector far_target must be in (0, 1), got {far!r}")
 
     @property
     def n_states(self) -> int:

@@ -1,0 +1,247 @@
+"""Slot-level scheduling kernel: fixed-priority simulation, feasibility-safe
+randomized shuffling and exhaustive enumeration.
+
+Tasks are passed as parallel period/wcet lists in priority order (index 0 =
+highest priority = task id 1), with integer periods that divide the horizon
+``l``. Slot values are 1-based task ids, 0 = idle.
+
+Every randomized or enumerated choice keeps the remaining jobs schedulable.
+That is decided by the processor-demand criterion (Baruah, Rosier & Howell,
+Real-Time Systems 1990) on a table precomputed per task set, so a choice
+costs no lookahead simulation.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import dataclass
+from functools import lru_cache
+
+# The only implementation; summary.txt and benchmark records name it.
+BACKEND = "pure"
+
+MASK64 = (1 << 64) - 1
+_SHUFFLE_SALT = 0xD6E8FEB86659FD93
+_AWARE_SALT = 0xA3C59AC2ED1097E5
+
+
+class DeadlineMiss(Exception):
+    def __init__(self, task_id: int, slot: int):
+        super().__init__(f"task {task_id} missed a deadline at slot {slot}")
+        self.task_id = task_id
+        self.slot = slot
+
+
+class BudgetExceeded(Exception):
+    def __init__(self, partial_count: int):
+        super().__init__(f"enumeration budget exhausted after {partial_count} schedules")
+        self.partial_count = partial_count
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One step of SplitMix64; returns (new_state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+def simulate_fp(periods, wcets, l):
+    """Deterministic fixed-priority preemptive schedule, synchronous release.
+
+    Returns the slot array over [0, l). Raises DeadlineMiss if the spec is
+    infeasible.
+    """
+    n = len(periods)
+    rem = [0] * n
+    slots = [0] * l
+    for t in range(l):
+        for i in range(n):
+            if t % periods[i] == 0:
+                if rem[i] > 0:
+                    raise DeadlineMiss(i + 1, t)
+                rem[i] = wcets[i]
+        for i in range(n):
+            if rem[i] > 0:
+                rem[i] -= 1
+                slots[t] = i + 1
+                break
+    for i in range(n):
+        if rem[i] > 0:
+            raise DeadlineMiss(i + 1, l)
+    return slots
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """A task set's jobs over [0, l), independent of the schedule drawn.
+
+    releases[t]: tasks released at slot t. next_release[t]: the first
+    release time after t (l if none). base[d] = d minus the work of every
+    job with deadline <= d. window_min[t] = min(base[t+1 : t+max period]),
+    the least base over the interval ends a job ready at t can reach.
+    overload: (task id, deadline) of the first deadline no schedule meets,
+    when total utilization exceeds 1.
+    """
+
+    periods: tuple
+    wcets: tuple
+    releases: list
+    next_release: list
+    base: list
+    window_min: list
+    overload: tuple | None
+
+
+@lru_cache(maxsize=256)
+def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
+    if any(l % p for p in periods):
+        raise ValueError(f"horizon {l} is not a multiple of every period {periods}")
+    releases = [tuple(i for i, p in enumerate(periods) if t % p == 0) for t in range(l)]
+    next_release = [l] * l
+    for t in range(l - 2, -1, -1):
+        next_release[t] = t + 1 if releases[t + 1] else next_release[t + 1]
+    base = [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
+    reach = max(periods)
+    window_min = [min(base[t + 1 : t + reach], default=l) for t in range(l)]
+    overload = None
+    if base[l] < 0:
+        d = next(d for d in range(l + 1) if base[d] < 0)
+        overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
+    return _Tables(periods, wcets, releases, next_release, base, window_min, overload)
+
+
+def _runnable(tab: _Tables, t: int, rem: list, ready: list) -> list:
+    """The tasks of ``ready``, in its order, whose current job can run at
+    slot t with every deadline still met; the earliest-deadline job always
+    can. ``rem[i]`` is the work left in task i's current job.
+
+    Processor-demand criterion: running a unit of the job with deadline D
+    at t keeps every deadline iff each interval [t, d) with t < d < D has
+    room for that unit plus all work still due by d, i.e.
+    ``base[d] + sum(done_i : deadline_i <= d) >= base[t] + 1`` with
+    ``done_i`` the units task i's current job has run. Intervals that start
+    later hold only fresh releases, which fit when utilization is at most 1,
+    and intervals reaching D or beyond keep the slack the state already had.
+    The sum steps only at the current jobs' deadlines, so the latest
+    admissible deadline is a scan over them.
+    """
+    need = tab.base[t] + 1
+    if tab.window_min[t] >= need:
+        return ready
+    base = tab.base
+    deadlines = [t - t % p + p for p in tab.periods]
+    lo = t + 1
+    for d, left, e in sorted(zip(deadlines, rem, tab.wcets)):
+        if d > lo and min(base[lo:d]) < need:
+            break
+        lo = d
+        need -= e - left
+    return [i for i in ready if deadlines[i] <= lo]
+
+
+def _draw(periods, wcets, aews, n_trusted, l, state):
+    tab = _tables(tuple(periods), tuple(wcets), l)
+    if tab.overload:
+        raise DeadlineMiss(*tab.overload)
+    releases, next_release = tab.releases, tab.next_release
+    n = len(periods)
+    rem = [0] * n
+    slots = [0] * l
+    window_end = 0
+    t = 0
+    while t < l:
+        for i in releases[t]:
+            rem[i] = wcets[i]
+        ready = [i for i in range(n) if rem[i]]
+        if not ready:
+            t = next_release[t]
+            continue
+        if len(ready) > 1:
+            # uniform order: Fisher-Yates over the ascending ready list
+            for j in range(len(ready) - 1, 0, -1):
+                state, z = splitmix64(state)
+                k = z % (j + 1)
+                ready[j], ready[k] = ready[k], ready[j]
+            if n_trusted:
+                # stable class partition: trusted first while a window is open
+                ready.sort(key=n_trusted.__le__ if t < window_end else n_trusted.__gt__)
+            ready = _runnable(tab, t, rem, ready)
+        chosen = ready[0]
+        slots[t] = chosen + 1
+        rem[chosen] -= 1
+        if chosen < n_trusted and not rem[chosen]:
+            deadline = t - t % periods[chosen] + periods[chosen]
+            window_end = max(window_end, min(t + aews[chosen] + 1, deadline))
+        t += 1
+    return slots
+
+
+def shuffle(periods, wcets, l, seed):
+    """Randomized feasible schedule: per slot, a uniform choice among ready
+    jobs whose selection keeps the remainder completable.
+
+    Uniformity comes from testing candidates in Fisher-Yates order and taking
+    the first feasible one. Work-conserving: idles only with no job ready.
+    Raises DeadlineMiss if total utilization exceeds 1.
+    """
+    return _draw(periods, wcets, (), 0, l, (seed ^ _SHUFFLE_SALT) & MASK64)
+
+
+def aware_shuffle(periods, wcets, aews, n_trusted, l, seed):
+    """Attack-aware randomized schedule.
+
+    Like ``shuffle`` but with a class bias over the Fisher-Yates order:
+    while any trusted task's post-completion window (truncated at its
+    deadline) is open, trusted candidates are tried before untrusted ones;
+    outside every window the order is reversed so untrusted backlog drains
+    early. Within a class the order stays random. Work-conserving and
+    deadline-feasible exactly like ``shuffle``.
+    """
+    return _draw(periods, wcets, aews, n_trusted, l, (seed ^ _AWARE_SALT) & MASK64)
+
+
+def enumerate_all(periods, wcets, l, budget):
+    """Exhaustive DFS over per-slot ready-job choices.
+
+    Returns the list of all feasible work-conserving slot arrays (none when
+    total utilization exceeds 1). ``budget`` caps the number of completed
+    schedules; raises BudgetExceeded beyond it. Distinct choice sequences
+    yield distinct slot arrays, so no dedup pass is needed.
+    """
+    tab = _tables(tuple(periods), tuple(wcets), l)
+    if tab.overload:
+        return []
+    n = len(periods)
+    rem = [0] * n
+    slots = [0] * l
+    results = []
+
+    def step(t):
+        if t == l:
+            if len(results) >= budget:
+                raise BudgetExceeded(len(results))
+            results.append(tuple(slots))
+            return
+        for i in tab.releases[t]:
+            rem[i] = wcets[i]
+        ready = [i for i in range(n) if rem[i]]
+        if not ready:
+            slots[t] = 0
+            step(t + 1)
+        for i in _runnable(tab, t, rem, ready):
+            slots[t] = i + 1
+            rem[i] -= 1
+            step(t + 1)
+            rem[i] += 1
+        for i in tab.releases[t]:
+            rem[i] = 0
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, l + 200))
+    try:
+        step(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return results

@@ -1,6 +1,6 @@
 """Schedule generation: deterministic fixed-priority simulation, randomized
-shuffling with exact feasibility lookahead, and exhaustive enumeration for
-desk-scale verification. Thin wrappers around the kernel backends plus an
+shuffling with an exact feasibility check, and exhaustive enumeration for
+desk-scale verification. Thin wrappers around ``maars.kernel`` plus an
 independent validity checker.
 """
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernel
-from .kernel import BudgetExceeded, DeadlineMiss
 from .taskmodel import TaskSet, TaskSpec, hyper_period
 
 DEFAULT_ENUM_BUDGET = 200_000

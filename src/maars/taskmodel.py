@@ -28,6 +28,18 @@ class ConfigError(ValueError):
     """Task-set configuration violates the schema or an invariant."""
 
 
+def is_integer(value) -> bool:
+    """True for an int; a bool is not a count of slots."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(task_id, **fields) -> None:
+    """Raise ConfigError unless every field value is an integer."""
+    for name, value in fields.items():
+        if not is_integer(value):
+            raise ConfigError(f"task {task_id}: {name} must be an integer, got {value!r}")
+
+
 class Unschedulable(Exception):
     """A task cannot meet its deadline at the maximum execution rates."""
 
@@ -55,6 +67,9 @@ class TrustedTask:
     plant: str | None = None
 
     def __post_init__(self):
+        _require_ints(self.id, id=self.id, wcet=self.wcet, aew=self.aew)
+        for p in self.period_menu:
+            _require_ints(self.id, period=p)
         menu = tuple(sorted(self.period_menu))
         object.__setattr__(self, "period_menu", menu)
         if not menu:
@@ -73,6 +88,8 @@ class TrustedTask:
             raise ConfigError(f"task {self.id}: criticality must be positive")
         if not 0.0 <= self.tap <= 1.0:
             raise ConfigError(f"task {self.id}: tap must be in [0,1]")
+        if self.plant is not None and not isinstance(self.plant, str):
+            raise ConfigError(f"task {self.id}: plant must be a name, got {self.plant!r}")
 
     @property
     def min_period(self) -> int:
@@ -88,6 +105,7 @@ class UntrustedTask:
     wcet: int
 
     def __post_init__(self):
+        _require_ints(self.id, id=self.id, period=self.period, wcet=self.wcet)
         if self.wcet <= 0 or self.period <= self.wcet:
             raise ConfigError(f"task {self.id}: need period > wcet > 0")
 

@@ -151,6 +151,14 @@ BAD_SCENARIO = {
     "scenario-value-not-number": {"injection": "bias", "value": "x"},
     "scenario-start-epoch-string": {"start_epoch": "1"},
 }
+BAD_TASKSET = {
+    "taskset-float-period": lambda d: d["trusted"][0].update(periods=[2.5, 3]),
+    "taskset-bool-wcet": lambda d: d["untrusted"][0].update(wcet=True),
+}
+BAD_PLANT = {
+    "plant-missing-A": lambda d: d.pop("A"),
+    "plant-window-string": lambda d: d["detector"].update(window="x"),
+}
 
 
 def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
@@ -180,11 +188,17 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
         path = tmp_path / "taskset.json"
         path.write_text("[1, 2]")
         return [*static, "--taskset", str(path)]
+    if case in BAD_TASKSET:
+        data = json.loads(data_path("tasksets", "minimal.json").read_text())
+        BAD_TASKSET[case](data)
+        path = tmp_path / "taskset.json"
+        path.write_text(json.dumps(data))
+        return ["baseline", "--taskset", str(path), "--out", str(tmp_path)]
     static += ["--taskset", "automotive_lu"]
-    if case == "plant-missing-A":
+    if case in BAD_PLANT:
         for src in data_path("plants").glob("*.json"):
             plant = json.loads(src.read_text())
-            plant.pop("A")
+            BAD_PLANT[case](plant)
             (tmp_path / src.name).write_text(json.dumps(plant))
         return [*static, "--plants", str(tmp_path)]
     scenario = tmp_path / "scenario.json"
@@ -224,7 +238,7 @@ class TestExitCodes:
         "exhaustive-budget", "foreign-store", "truncated-store", "untrusted-victim",
         "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
-        "plant-missing-A",
+        *BAD_TASKSET, *BAD_PLANT,
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
@@ -282,31 +296,47 @@ def mutated(doc, path, replacement):
 
 @pytest.fixture(scope="module")
 def minimal_documents(tmp_path_factory):
-    """A store document of the minimal task set and an attack scenario."""
+    """The documents of a simulate run, by file name: the minimal task set
+    with task 1 driving the cc plant, that plant, a store built for them
+    and an attack scenario."""
     out = tmp_path_factory.mktemp("minimal")
-    code = main(["analyze", "--taskset", "minimal", "--seeds", "2", "--out", str(out)])
+    taskset = json.loads(data_path("tasksets", "minimal.json").read_text())
+    taskset["trusted"][0]["plant"] = "cc"
+    docs = {
+        "taskset.json": taskset,
+        "plants/cc.json": json.loads(data_path("plants", "cc.json").read_text()),
+        "scenario.json": {"compromised_task_id": 3, "victim_id": 1, "injection": "bias",
+                          "value": 1.0, "start_epoch": 0, "duration_epochs": 1},
+    }
+    write_documents(docs, out)
+    code = main(["analyze", "--taskset", str(out / "taskset.json"), "--plants",
+                 str(out / "plants"), "--seeds", "2", "--out", str(out)])
     assert code == EXIT_OK
-    scenario = {"compromised_task_id": 3, "victim_id": 1, "injection": "bias",
-                "value": 1.0, "start_epoch": 0, "duration_epochs": 1}
-    return {"store": json.loads((out / "store.json").read_text()), "scenario": scenario}
+    return {**docs, "store.json": json.loads((out / "store.json").read_text())}
+
+
+def write_documents(docs: dict, root: Path) -> None:
+    for name, doc in docs.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(json.dumps(doc))
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
-    """Drop a key or an item of the store or the scenario, or replace a value
-    by one of another type: simulate exits 0, 2 or 3, with no traceback."""
+    """Drop a key or an item of the task set, the plant, the store or the
+    scenario, or replace a value by one of another type: simulate exits 0,
+    2 or 3, with no traceback."""
     docs = dict(minimal_documents)
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(value_paths(docs[name]))))
     replacements = [None, True, -1, 7, 2.5, "x", [], {}] + ([DROP] if path else [])
     docs[name] = mutated(docs[name], path, data.draw(st.sampled_from(replacements)))
     with tempfile.TemporaryDirectory() as tmp:
-        for doc_name, doc in docs.items():
-            (Path(tmp) / f"{doc_name}.json").write_text(json.dumps(doc))
-        argv = ["simulate", "--taskset", "minimal", "--policy", "maars",
-                "--store", f"{tmp}/store.json", "--scenario", f"{tmp}/scenario.json",
-                "--epochs", "2", "--out", tmp]
+        write_documents(docs, Path(tmp))
+        argv = ["simulate", "--taskset", f"{tmp}/taskset.json", "--plants", f"{tmp}/plants",
+                "--policy", "maars", "--store", f"{tmp}/store.json",
+                "--scenario", f"{tmp}/scenario.json", "--epochs", "2", "--out", tmp]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)

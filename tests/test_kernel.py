@@ -1,18 +1,17 @@
-"""Kernel backends: SplitMix64 reference values, pure/compiled parity."""
+"""Scheduling kernel: SplitMix64 reference values, kernel behaviour, and
+equivalence with a forward-EDF-lookahead reference."""
+
+import itertools
+import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maars.kernel import BACKEND, _pure
-from maars.kernel._pure import DeadlineMiss, splitmix64
-
-try:
-    from maars.kernel import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernel unavailable")
+from maars import data_path, kernel
+from maars.kernel import BACKEND, BudgetExceeded, DeadlineMiss, splitmix64
+from maars.taskmodel import enumerate_specs, hyper_period, load_taskset
 
 
 class TestSplitMix64:
@@ -29,97 +28,300 @@ class TestSplitMix64:
             9817491932198370423,
         ]
 
-    @needs_fast
-    def test_compiled_matches_pure(self):
-        sp, zp = _pure.splitmix64(42)
-        sf, zf = _fast.splitmix64(42)
-        assert (sp, zp) == (sf, zf)
-
-
-TASK_SETS = [
-    # (periods, wcets, l)
-    ([2, 4, 4], [1, 1, 1], 4),
-    ([3, 4, 4], [1, 1, 1], 12),
-    ([4, 4, 5], [1, 1, 2], 20),
-    ([10, 10, 10, 20, 10, 30, 20], [1, 1, 1, 1, 1, 1, 1], 60),
-]
-
 
 class TestPureKernel:
     def test_simulate_fp_priority_order(self):
-        slots = _pure.simulate_fp([2, 4, 4], [1, 1, 1], 4)
+        slots = kernel.simulate_fp([2, 4, 4], [1, 1, 1], 4)
         assert slots == [1, 2, 1, 3]
 
     def test_simulate_fp_deadline_miss(self):
         with pytest.raises(DeadlineMiss):
-            _pure.simulate_fp([2, 3], [1, 2], 6)
+            kernel.simulate_fp([2, 3], [1, 2], 6)
 
     def test_shuffle_is_deterministic_per_seed(self):
-        a = _pure.shuffle([3, 4, 4], [1, 1, 1], 12, 7)
-        b = _pure.shuffle([3, 4, 4], [1, 1, 1], 12, 7)
-        c = _pure.shuffle([3, 4, 4], [1, 1, 1], 12, 8)
+        a = kernel.shuffle([3, 4, 4], [1, 1, 1], 12, 7)
+        b = kernel.shuffle([3, 4, 4], [1, 1, 1], 12, 7)
+        c = kernel.shuffle([3, 4, 4], [1, 1, 1], 12, 8)
         assert a == b
         assert a != c
 
     def test_enumerate_includes_fp_schedule(self):
-        fp = tuple(_pure.simulate_fp([2, 4, 4], [1, 1, 1], 4))
-        assert fp in set(_pure.enumerate_all([2, 4, 4], [1, 1, 1], 4, 1000))
+        fp = tuple(kernel.simulate_fp([2, 4, 4], [1, 1, 1], 4))
+        assert fp in set(kernel.enumerate_all([2, 4, 4], [1, 1, 1], 4, 1000))
 
     def test_enumerate_budget(self):
-        with pytest.raises(_pure.BudgetExceeded):
-            _pure.enumerate_all([3, 4, 4], [1, 1, 1], 12, 3)
+        with pytest.raises(BudgetExceeded):
+            kernel.enumerate_all([3, 4, 4], [1, 1, 1], 12, 3)
+
+    def test_horizon_must_be_a_multiple_of_every_period(self):
+        with pytest.raises(ValueError):
+            kernel.shuffle([3, 4], [1, 1], 6, 0)
 
     @given(seed=st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=20, deadline=None)
     def test_shuffle_work_conserving(self, seed):
         periods, wcets, l = [3, 4, 4], [1, 1, 1], 12
-        slots = _pure.shuffle(periods, wcets, l, seed)
-        rem = [0] * len(periods)
-        for t in range(l):
-            for i, p in enumerate(periods):
-                if t % p == 0:
-                    assert rem[i] == 0  # no deadline miss
-                    rem[i] = wcets[i]
-            s = slots[t]
-            if s == 0:
-                assert all(r == 0 for r in rem)
-            else:
-                rem[s - 1] -= 1
-                assert rem[s - 1] >= 0
-        assert all(r == 0 for r in rem)
+        assert is_valid(periods, wcets, kernel.shuffle(periods, wcets, l, seed))
+
+    def test_enumerate_finds_every_valid_schedule(self):
+        # Brute force over every slot list. A DFS that keeps a task's newer
+        # deadline after backtracking past its release finds only 12 of 16.
+        periods, wcets, l = [2, 3, 6], [1, 1, 1], 6
+        valid = [s for s in itertools.product(range(len(periods) + 1), repeat=l)
+                 if is_valid(periods, wcets, s)]
+        assert len(valid) == 16
+        assert sorted(kernel.enumerate_all(periods, wcets, l, 1000)) == valid
 
 
-@needs_fast
-class TestParity:
-    """Both backends must produce byte-identical slot arrays."""
-
-    @pytest.mark.parametrize("periods,wcets,l", TASK_SETS)
-    def test_simulate_fp(self, periods, wcets, l):
-        assert _pure.simulate_fp(periods, wcets, l) == _fast.simulate_fp(
-            periods, wcets, l
-        )
-
-    @pytest.mark.parametrize("periods,wcets,l", TASK_SETS)
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
-    def test_shuffle(self, periods, wcets, l, seed):
-        assert _pure.shuffle(periods, wcets, l, seed) == _fast.shuffle(
-            periods, wcets, l, seed
-        )
-
-    @pytest.mark.parametrize("seed", [0, 5, 11, 97])
-    def test_aware_shuffle(self, seed):
-        periods = [10, 15, 10, 20, 10, 30, 20]
-        wcets = [1] * 7
-        aews = [3, 4, 1, 8]
-        args = (periods, wcets, aews, 4, 60, seed)
-        assert _pure.aware_shuffle(*args) == _fast.aware_shuffle(*args)
-
-    @pytest.mark.parametrize("periods,wcets,l", TASK_SETS[:3])
-    def test_enumerate_all(self, periods, wcets, l):
-        pure = _pure.enumerate_all(periods, wcets, l, 100_000)
-        fast = _fast.enumerate_all(periods, wcets, l, 100_000)
-        assert [tuple(s) for s in pure] == [tuple(s) for s in fast]
+def is_valid(periods, wcets, slots) -> bool:
+    """Every job gets its units before its deadline, and no slot idles
+    while a job is ready."""
+    rem = [0] * len(periods)
+    for t, s in enumerate(slots):
+        for i, p in enumerate(periods):
+            if t % p == 0:
+                if rem[i]:
+                    return False
+                rem[i] = wcets[i]
+        if s == 0:
+            if any(rem):
+                return False
+        elif rem[s - 1] == 0:
+            return False
+        else:
+            rem[s - 1] -= 1
+    return not any(rem)
 
 
 def test_backend_reports_selection():
-    assert BACKEND in ("compiled", "pure")
+    assert BACKEND == "pure"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the kernel as it was before the processor-demand table. Every
+# candidate is checked by simulating earliest-deadline-first over the rest
+# of the hyper-period, so the table-driven kernel is compared against an
+# independent decision procedure. Kept verbatim, except that
+# ref_enumerate_all restores a released task's deadline on backtrack:
+# without that, a stale deadline misorders the lookahead and valid
+# schedules go missing.
+
+MASK64 = (1 << 64) - 1
+
+
+def _edf_feasible(periods, wcets, rem, dl, t, l, can_early_exit):
+    n = len(periods)
+    rem = list(rem)
+    dl = list(dl)
+    backlog = sum(rem)
+    while t < l:
+        if backlog == 0 and can_early_exit:
+            return True
+        for i in range(n):
+            if t % periods[i] == 0:
+                if rem[i] > 0:
+                    return False
+                rem[i] = wcets[i]
+                dl[i] = t + periods[i]
+                backlog += wcets[i]
+        best = -1
+        best_dl = 0
+        for i in range(n):
+            if rem[i] > 0 and (best < 0 or dl[i] < best_dl):
+                best = i
+                best_dl = dl[i]
+        if best >= 0:
+            rem[best] -= 1
+            backlog -= 1
+        t += 1
+    return backlog == 0
+
+
+def ref_shuffle(periods, wcets, l, seed):
+    n = len(periods)
+    util_ok = sum(wcets[i] / periods[i] for i in range(n)) <= 1.0
+    rem = [0] * n
+    dl = [0] * n
+    slots = [0] * l
+    state = (seed ^ 0xD6E8FEB86659FD93) & MASK64
+    for t in range(l):
+        for i in range(n):
+            if t % periods[i] == 0:
+                if rem[i] > 0:
+                    raise DeadlineMiss(i + 1, t)
+                rem[i] = wcets[i]
+                dl[i] = t + periods[i]
+        ready = [i for i in range(n) if rem[i] > 0]
+        if not ready:
+            continue
+        for j in range(len(ready) - 1, 0, -1):
+            state, z = splitmix64(state)
+            k = z % (j + 1)
+            ready[j], ready[k] = ready[k], ready[j]
+        chosen = -1
+        for i in ready:
+            rem[i] -= 1
+            if _edf_feasible(periods, wcets, rem, dl, t + 1, l, util_ok):
+                chosen = i
+                break
+            rem[i] += 1
+        if chosen < 0:
+            raise DeadlineMiss(ready[0] + 1, t)
+        slots[t] = chosen + 1
+    return slots
+
+
+def ref_aware_shuffle(periods, wcets, aews, n_trusted, l, seed):
+    n = len(periods)
+    util_ok = sum(wcets[i] / periods[i] for i in range(n)) <= 1.0
+    rem = [0] * n
+    dl = [0] * n
+    slots = [0] * l
+    aew_end = [0] * n_trusted
+    state = (seed ^ 0xA3C59AC2ED1097E5) & MASK64
+    for t in range(l):
+        for i in range(n):
+            if t % periods[i] == 0:
+                if rem[i] > 0:
+                    raise DeadlineMiss(i + 1, t)
+                rem[i] = wcets[i]
+                dl[i] = t + periods[i]
+        ready = [i for i in range(n) if rem[i] > 0]
+        if not ready:
+            continue
+        for j in range(len(ready) - 1, 0, -1):
+            state, z = splitmix64(state)
+            k = z % (j + 1)
+            ready[j], ready[k] = ready[k], ready[j]
+        if any(t < e for e in aew_end):
+            ready = [i for i in ready if i < n_trusted] + [
+                i for i in ready if i >= n_trusted
+            ]
+        else:
+            ready = [i for i in ready if i >= n_trusted] + [
+                i for i in ready if i < n_trusted
+            ]
+        chosen = -1
+        for i in ready:
+            rem[i] -= 1
+            if _edf_feasible(periods, wcets, rem, dl, t + 1, l, util_ok):
+                chosen = i
+                break
+            rem[i] += 1
+        if chosen < 0:
+            raise DeadlineMiss(ready[0] + 1, t)
+        slots[t] = chosen + 1
+        if chosen < n_trusted and rem[chosen] == 0:
+            aew_end[chosen] = min(t + aews[chosen] + 1, dl[chosen])
+    return slots
+
+
+def ref_enumerate_all(periods, wcets, l, budget):
+    n = len(periods)
+    util_ok = sum(wcets[i] / periods[i] for i in range(n)) <= 1.0
+    results = []
+    rem = [0] * n
+    dl = [0] * n
+    slots = [0] * l
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, l + 200))
+
+    def step(t):
+        if t == l:
+            if sum(rem) == 0:
+                if len(results) >= budget:
+                    raise BudgetExceeded(len(results))
+                results.append(tuple(slots))
+            return
+        released = []
+        for i in range(n):
+            if t % periods[i] == 0 and rem[i] > 0:
+                return
+        for i in range(n):
+            if t % periods[i] == 0:
+                rem[i] = wcets[i]
+                dl[i] = t + periods[i]
+                released.append(i)
+        ready = [i for i in range(n) if rem[i] > 0]
+        if not ready:
+            slots[t] = 0
+            step(t + 1)
+        else:
+            for i in ready:
+                rem[i] -= 1
+                if _edf_feasible(periods, wcets, rem, dl, t + 1, l, util_ok):
+                    slots[t] = i + 1
+                    step(t + 1)
+                rem[i] += 1
+        for i in released:
+            rem[i] = 0
+            dl[i] = t
+
+    try:
+        step(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return results
+
+
+def outcome(fn, *args):
+    """The slot list, or the name of the exception that ended the call."""
+    try:
+        return fn(*args)
+    except (DeadlineMiss, BudgetExceeded) as exc:
+        return type(exc).__name__
+
+
+def automotive_specs():
+    """(periods, wcets, aews, n_trusted, l) of every spec of both automotive
+    sets, including the HU specs whose utilization exceeds 1."""
+    cases = []
+    for name in ("automotive_lu", "automotive_hu"):
+        ts = load_taskset(data_path("tasksets", f"{name}.json"))
+        wcets = [t.wcet for t in ts.trusted] + [u.wcet for u in ts.untrusted]
+        aews = [t.aew for t in ts.trusted]
+        for spec in enumerate_specs(ts):
+            cases.append((list(spec.all_periods()), wcets, aews, len(ts.trusted),
+                          hyper_period(spec)))
+    return cases
+
+
+@st.composite
+def small_task_sets(draw):
+    """Random 1-4 task sets with periods 1-8, the hyper-period as horizon,
+    and a trusted prefix with random AEWs. WCETs of at most period / n keep
+    utilization at most 1 unless a period is below n."""
+    n = draw(st.integers(1, 4))
+    periods = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    wcets = [draw(st.integers(1, max(1, p // n))) for p in periods]
+    n_trusted = draw(st.integers(0, n))
+    aews = [draw(st.integers(0, p - 1)) for p in periods[:n_trusted]]
+    return periods, wcets, aews, n_trusted, math.lcm(*periods)
+
+
+SEEDS = st.integers(min_value=0, max_value=MASK64)
+
+
+@given(case=st.sampled_from(automotive_specs()), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_automotive_draws_match_reference(case, seed):
+    periods, wcets, aews, n_trusted, l = case
+    assert outcome(kernel.shuffle, periods, wcets, l, seed) == outcome(
+        ref_shuffle, periods, wcets, l, seed)
+    args = (periods, wcets, aews, n_trusted, l, seed)
+    assert outcome(kernel.aware_shuffle, *args) == outcome(ref_aware_shuffle, *args)
+
+
+@given(case=small_task_sets(), seed=SEEDS)
+@example(case=([2, 4, 4], [1, 1, 1], [1], 1, 4), seed=0)  # U = 1 exactly
+@example(case=([3, 6, 2], [1, 2, 1], [2, 0], 2, 6), seed=3)  # U = 1 exactly
+@example(case=([2, 3], [1, 2], [], 0, 6), seed=1)  # U > 1
+@settings(max_examples=150, deadline=None)
+def test_small_sets_match_reference(case, seed):
+    periods, wcets, aews, n_trusted, l = case
+    assert outcome(kernel.shuffle, periods, wcets, l, seed) == outcome(
+        ref_shuffle, periods, wcets, l, seed)
+    args = (periods, wcets, aews, n_trusted, l, seed)
+    assert outcome(kernel.aware_shuffle, *args) == outcome(ref_aware_shuffle, *args)
+    assert outcome(kernel.enumerate_all, periods, wcets, l, 300) == outcome(
+        ref_enumerate_all, periods, wcets, l, 300)
