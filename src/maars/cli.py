@@ -303,14 +303,11 @@ def cmd_analyze(args) -> int:
             attack_aware=maars,
         )
         if maars:
-            hardened, seen = [], set()
+            unique: dict = {}  # (periods, slots) -> first hardened schedule
             for s in pool:
                 h = harden_schedule(s, pruned)
-                key = (h.spec.all_periods(), h.slots)
-                if key not in seen:
-                    seen.add(key)
-                    hardened.append(h)
-            pool = hardened
+                unique.setdefault((h.spec.all_periods(), h.slots), h)
+            pool = list(unique.values())
     if not pool:
         raise Infeasible("empty schedule pool")
     save_pool(pruned, pool, out / "pool.json")

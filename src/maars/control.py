@@ -36,7 +36,8 @@ def _is_real(value) -> bool:
 class PlantModel:
     """Continuous plant x' = A x + B u, y = C x + v, with synthesis weights.
 
-    W and V are process/measurement noise covariances; Q, R the LQR weights.
+    W and V are process/measurement noise covariances (symmetric positive-
+    semidefinite); Q, R the LQR weights.
     """
 
     name: str
@@ -61,6 +62,11 @@ class PlantModel:
             raise ValueError(f"plant {self.name}: inconsistent matrix dimensions")
         if np.any(np.linalg.eigvalsh((self.R + self.R.T) / 2) <= 0):
             raise ValueError(f"plant {self.name}: R must be positive definite")
+        for x in "WV":
+            try:
+                noise_factor(getattr(self, x))
+            except ValueError as exc:
+                raise ValueError(f"plant {self.name}: {x}: {exc}") from exc
         window, threshold, far = self.detector_window, self.detector_threshold, self.far_target
         if not is_integer(window) or window < 1:
             raise ValueError(f"detector window must be a positive integer, got {window!r}")
@@ -72,6 +78,18 @@ class PlantModel:
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
+
+
+def noise_factor(cov: np.ndarray) -> np.ndarray:
+    """The factor F that ``Generator.multivariate_normal`` (SVD method)
+    applies to a row z of standard normal draws: ``mean + z @ F`` is its
+    draw, bit for bit. ValueError where NumPy would warn that ``cov`` is
+    not symmetric positive-semidefinite (its SVD reconstruction is not
+    close at 1e-8)."""
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
+        raise ValueError("covariance is not symmetric positive-semidefinite")
+    return (u * np.sqrt(s)).T
 
 
 def discretize(plant: PlantModel, h: float) -> tuple[np.ndarray, np.ndarray]:

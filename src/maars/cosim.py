@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import Detector, DiscretizedLoop, PlantModel, calibrate_threshold, design_loop
+from .control import (
+    Detector, DiscretizedLoop, PlantModel, calibrate_threshold, design_loop, noise_factor,
+)
 from .runtime import SelectorState, make_selector, resolve_flag, run_epoch
 from .schedgen import Schedule, simulate_fixed_priority
 from .taskmodel import ConfigError, TaskSet, TrustedTask
@@ -101,36 +103,44 @@ class ControlLoopSim:
         self.sigma_inv = {
             p: np.linalg.inv(loop.innovation_cov) for p, loop in self.loops.items()
         }
+        # the estimator's state transition per period
+        self.a_lc = {p: loop.A - loop.L @ plant.C for p, loop in self.loops.items()}
+        # one SVD factor per noise covariance, for every draw of _noise
+        self.w_factor = noise_factor(plant.W)
+        self.v_factor = noise_factor(plant.V)
         self.alarmed = False
+        self.norm = float(np.linalg.norm(self.x))  # ||x||, kept current by advance_plant
         self.norm_trace: list[tuple[float, float]] = []  # (time s, ||x||)
 
     def set_period(self, period: int):
         self.period = period
         self.detector.sigma_inv = self.sigma_inv[period]
 
-    def _noise(self, cov: np.ndarray) -> np.ndarray:
+    def _noise(self, factor: np.ndarray) -> np.ndarray:
+        """One draw of ``rng.multivariate_normal(zeros(m), cov)`` (same RNG
+        stream, same bits) from ``factor = noise_factor(cov)``, scaled."""
+        m = factor.shape[0]
         if self.noise_scale == 0.0:
-            return np.zeros(cov.shape[0])
-        return self.rng.multivariate_normal(np.zeros(cov.shape[0]), cov) * self.noise_scale
+            return np.zeros(m)
+        draw = np.zeros(m) + self.rng.standard_normal(m).reshape(-1, m) @ factor
+        return draw[0] * self.noise_scale
 
     def advance_plant(self, time_s: float):
         """Period boundary: actuate with the (possibly tampered) buffer."""
         loop = self.loops[self.period]
-        self.x = loop.A @ self.x + loop.B @ self.buffer + self._noise(self.plant.W)
-        self.norm_trace.append((time_s, float(np.linalg.norm(self.x))))
+        self.x = loop.A @ self.x + loop.B @ self.buffer + self._noise(self.w_factor)
+        self.norm = float(np.linalg.norm(self.x))
+        self.norm_trace.append((time_s, self.norm))
 
     def job_complete(self):
         """Sample, estimate, detect, and compute the next control input."""
         loop = self.loops[self.period]
-        y = self.plant.C @ self.x + self._noise(self.plant.V)
-        _, alarm = self.detector.step(y - self.plant.C @ self.xhat)
+        C = self.plant.C
+        y = C @ self.x + self._noise(self.v_factor)
+        _, alarm = self.detector.step(y - C @ self.xhat)
         if alarm:
             self.alarmed = True
-        self.xhat = (
-            (loop.A - loop.L @ self.plant.C) @ self.xhat
-            + loop.B @ self.u_cmd
-            + loop.L @ y
-        )
+        self.xhat = self.a_lc[self.period] @ self.xhat + loop.B @ self.u_cmd + loop.L @ y
         self.u_cmd = -loop.K @ self.xhat
         self.buffer = self.u_cmd.copy()
 
@@ -190,9 +200,12 @@ class CoSimWorld:
         delta = ts.delta
         l = sched.length
         attack_on = self.scenario is not None and self.scenario.active(self.epoch)
+        sims: list[tuple[ControlLoopSim, int]] = []  # (loop, its period in this spec)
         for task_id, sim in self.loops.items():
-            sim.set_period(sched.spec.period_of(task_id))
+            p = sched.spec.period_of(task_id)
+            sim.set_period(p)
             sim.alarmed = False
+            sims.append((sim, p))
 
         # the slots where a trusted job completes, plus the AEW of each victim
         # job (slot -> the job's completion) for the attack predicate
@@ -213,11 +226,10 @@ class CoSimWorld:
             # period boundaries: actuate every plant whose sampling instant
             # starts at this slot (skip the synchronous release at t=0 of
             # the very first epoch: no input computed yet)
-            for task_id, sim in self.loops.items():
-                p = sched.spec.period_of(task_id)
+            for sim, p in sims:
                 if t_slot % p == 0 and self.time_slots > 0:
-                    sim.advance_plant((self.time_slots) * delta)
-                    if np.linalg.norm(sim.x) > self.divergence_bound:
+                    sim.advance_plant(self.time_slots * delta)
+                    if sim.norm > self.divergence_bound:
                         self.diverged = True
             if self.diverged:
                 break
@@ -248,8 +260,7 @@ class CoSimWorld:
         row: list = [self.time_slots * self.taskset.delta, running]
         if self.scenario is not None and self.scenario.victim_id in self.loops:
             sim = self.loops[self.scenario.victim_id]
-            row += [float(np.linalg.norm(sim.x)), float(sim.buffer[0]), sim.detector.g,
-                    int(sim.alarmed)]
+            row += [sim.norm, float(sim.buffer[0]), sim.detector.g, int(sim.alarmed)]
         self.trace.append(tuple(row))
 
 
@@ -350,5 +361,4 @@ def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "running_task", "victim_norm", "victim_u", "g", "alarm"])
-        for row in world.trace:
-            writer.writerow(row)
+        writer.writerows(world.trace)

@@ -301,7 +301,7 @@ def test_criterion_10_resilience(lu_ts, plants):
     assert not maars_metrics.diverged
     assert alert_epochs > 0
     assert maars_metrics.settling_time is not None
-    assert elapsed < 60.0
+    assert elapsed < 10.0
 
 
 def test_criterion_11_numerics(plants):

@@ -158,6 +158,10 @@ BAD_TASKSET = {
 BAD_PLANT = {
     "plant-missing-A": lambda d: d.pop("A"),
     "plant-window-string": lambda d: d["detector"].update(window="x"),
+    "plant-W-not-psd": lambda d: d.update(W=[[-w for w in row] for row in d["W"]]),
+    "plant-V-not-symmetric": lambda d: d.update(
+        C=[d["C"][0]] * 2, V=[[1e-4, 1e-5], [0.0, 1e-4]]
+    ),
 }
 
 

@@ -183,3 +183,15 @@ class TestPlantIO:
                 name="bad", A=np.eye(1), B=np.eye(1), C=np.eye(1),
                 W=np.eye(1), V=[[1.0]], Q=np.eye(1), R=[[0.0]],
             )
+
+    @pytest.mark.parametrize("W, V", [
+        ([[-1e-6, 0.0], [0.0, 1e-6]], [[1e-4]]),  # indefinite
+        ([[1e-6, 1e-6], [0.0, 1e-6]], [[1e-4]]),  # not symmetric
+        (np.eye(2) * 1e-6, [[-1e-4]]),
+    ], ids=["W-indefinite", "W-not-symmetric", "V-negative"])
+    def test_noise_covariances_must_be_psd(self, W, V):
+        with pytest.raises(ValueError, match="positive-semidefinite"):
+            PlantModel(
+                name="bad", A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                W=W, V=V, Q=np.eye(2), R=[[1.0]],
+            )

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maars.control import noise_factor
 from maars.cosim import (
     AttackScenario,
+    ControlLoopSim,
     _fit_metrics,
     run_scenario,
     save_trace_csv,
@@ -147,3 +151,53 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("time_s,running_task")
         assert len(lines) == 1 + 2 * 60  # two hyper-periods of 60 slots
+
+
+@st.composite
+def psd_covariances(draw):
+    """G @ G.T for an n x r G: dimension 1-4, rank 0-n (rank-deficient
+    and zero included), entries up to 10^-3 .. 10 in size."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    scale = 10.0 ** draw(st.integers(-3, 1))
+    g = draw(st.lists(st.floats(-1, 1), min_size=n * r, max_size=n * r))
+    g = np.array(g).reshape(n, r) * scale
+    return g @ g.T
+
+
+class TestNoise:
+    """The co-simulation draws its noise from a factor cached per
+    covariance; NumPy's ``multivariate_normal``, which factors the
+    covariance again on every draw, is the reference."""
+
+    @staticmethod
+    def reference_noise(rng, cov, scale):
+        if scale == 0.0:
+            return np.zeros(cov.shape[0])
+        return rng.multivariate_normal(np.zeros(cov.shape[0]), cov) * scale
+
+    @pytest.fixture(scope="class")
+    def sims(self, lu_ts, plants):
+        """One loop per bundled plant (the LU task that drives it)."""
+        rng = np.random.default_rng(0)
+        return {t.plant: ControlLoopSim(t, plants[t.plant], lu_ts.delta, rng)
+                for t in lu_ts.trusted}
+
+    @given(
+        source=st.sampled_from([(p, x) for p in ("esp", "ttc", "cc", "sc") for x in "WV"])
+        | psd_covariances(),
+        seed=st.integers(0, 2**63),
+        scale=st.sampled_from([1.0, 0.37, 0.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_draws_match_multivariate_normal(self, sims, source, seed, scale):
+        if isinstance(source, tuple):  # a bundled plant's W or V, as its loop holds it
+            name, x = source
+            sim = sims[name]
+            cov, factor = getattr(sim.plant, x), {"W": sim.w_factor, "V": sim.v_factor}[x]
+        else:
+            sim, cov, factor = sims["esp"], source, noise_factor(source)
+        sim.rng, sim.noise_scale = np.random.default_rng(seed), scale
+        ref = np.random.default_rng(seed)
+        for _ in range(200):
+            assert sim._noise(factor).tobytes() == self.reference_noise(ref, cov, scale).tobytes()
