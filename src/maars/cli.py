@@ -18,8 +18,8 @@ Exit codes: 0 success, 2 configuration error (also a malformed task-set,
 plant or scenario file, a store that belongs to another task set or fails
 its load checks, a scenario whose roles do not match the task set, or an
 exhaustive enumeration over its budget),
-3 infeasible (unschedulable task set, no stabilizable period menu, or an
-empty schedule store).
+3 infeasible (unschedulable task set, no stabilizable period menu, an
+empty schedule store, or a store with no schedule to deploy first).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .control import NumericsError, PlantModel, design_loop, load_plant
 from .cosim import AttackScenario, run_scenario, save_trace_csv
 from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
 from .ladder import build_ladder, inferability_ratio, tile_timeline
-from .runtime import make_selector, save_log_csv
+from .runtime import EmptyCandidateSet, make_selector, save_log_csv
 from .schedgen import generate_pool, save_pool, simulate_fixed_priority
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
@@ -53,12 +53,15 @@ from .taskmodel import (
     load_taskset,
 )
 from .vulnerability import (
+    ScheduleStore,
+    analyze,
     build_store,
     export_reports_csv,
     harden_schedule,
     load_store,
     save_store,
     store_memory_cost,
+    svt,
 )
 
 log = logging.getLogger(__name__)
@@ -313,6 +316,11 @@ def cmd_analyze(args) -> int:
     save_pool(pruned, pool, out / "pool.json")
 
     store = build_store(pool, pruned)
+    if store.k_threshold == 0:
+        log.warning("no schedule below SVT=%s: normal mode has no candidates", store.svt)
+    for tid, row in store.lut.items():
+        if not row:
+            log.warning("LUT row for task %d is empty: alert mode unavailable", tid)
     serialized_bytes = save_store(store, out / "store.json")
     export_reports_csv(store, out / "vuln.csv")
     write_ir_csv(store, out / "ir.csv")
@@ -324,16 +332,33 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _static_store(taskset: TaskSet) -> ScheduleStore:
+    """The static policy as a store: the fixed-priority schedule at minimum
+    periods, deployable in normal mode (K = 1) and in every alert mode."""
+    sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
+    return ScheduleStore(
+        taskset=taskset,
+        schedules=[sched],
+        reports=[analyze(sched, taskset)],
+        svt=svt(taskset),
+        k_threshold=1,
+        lut={t.id: [0] for t in taskset.trusted},
+    )
+
+
 def cmd_simulate(args) -> int:
+    """Deploy the store of ``--policy`` through the runtime selector: the
+    static schedule's store, or the loaded store (``shuffle`` with K over
+    every index)."""
     taskset = resolve_taskset(args.taskset)
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario)
 
-    store = None
-    selector = None
-    if args.policy in ("maars", "shuffle"):
+    if args.policy == "static":
+        store = _static_store(taskset)
+    else:
         store_path = Path(args.store) if args.store else out / "store.json"
         if not store_path.exists():
             raise ConfigError(
@@ -344,23 +369,14 @@ def cmd_simulate(args) -> int:
             # deploy from the whole pool regardless of the vulnerability
             # threshold, as an attack-unaware system would
             store.k_threshold = len(store.schedules)
-        selector = make_selector(store, seed=args.seed_base)
+    selector = make_selector(store, seed=args.seed_base)
 
-    policy = "static" if args.policy == "static" else "maars"
     metrics, world = run_scenario(
-        taskset=store.taskset if store is not None else taskset,
-        plants=plants,
-        scenario=scenario,
-        policy=policy,
-        seed=args.seed_base,
-        epochs=args.epochs,
-        store=store,
-        selector=selector,
-        noise_scale=args.noise_scale,
-        trace=True,
+        plants, scenario, selector,
+        seed=args.seed_base, epochs=args.epochs, noise_scale=args.noise_scale,
     )
     save_trace_csv(world, out / "trace.csv")
-    if selector is not None:
+    if args.policy != "static":
         save_log_csv(selector.deployments, out / "deployments.csv")
     payload = {
         "version": __version__,
@@ -391,6 +407,28 @@ def cmd_simulate(args) -> int:
 # entry point
 
 
+def _ranged(convert, ok, what: str):
+    """An argparse ``type`` that makes text ``convert`` cannot read, or a
+    value ``ok`` refuses, a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+_NEGATIVE = _ranged(float, lambda v: math.isfinite(v) and v < 0, "a finite negative number")
+_NON_NEGATIVE = _ranged(float, lambda v: math.isfinite(v) and v >= 0,
+                       "a finite non-negative number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maars",
@@ -405,20 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bundled taskset name or path to a JSON config"),
         "--plants": dict(default=None,
                          help="directory of plant JSON configs (default: bundled)"),
-        "--seed-base": dict(type=int, default=0),
+        "--seed-base": dict(type=_COUNT, default=0),
         "--out": dict(default=os.environ.get("MAARS_OUT", "maars-out")),
         "--policy": dict(choices=["static", "shuffle", "maars"], default="maars"),
-        "--seeds": dict(type=int, default=100,
+        "--seeds": dict(type=_COUNT, default=100,
                         help="randomized schedules per period assignment"),
         "--exhaustive": dict(action="store_true",
                              help="enumerate every feasible schedule instead of sampling"),
-        "--exhaustive-budget": dict(type=int, default=200_000),
-        "--gamma": dict(type=float, default=DEFAULT_DECAY_RATE,
+        "--exhaustive-budget": dict(type=_COUNT, default=200_000),
+        "--gamma": dict(type=_NEGATIVE, default=DEFAULT_DECAY_RATE,
                         help="target continuous-time decay rate (negative)"),
-        "--epochs": dict(type=int, default=50, help="hyper-periods to simulate"),
+        "--epochs": dict(type=_COUNT, default=50, help="hyper-periods to simulate"),
         "--scenario": dict(default=None, help="attack scenario JSON file"),
         "--store": dict(default=None, help="path to a prebuilt store.json"),
-        "--noise-scale": dict(type=float, default=1.0),
+        "--noise-scale": dict(type=_NON_NEGATIVE, default=1.0),
     }
     shared = ["--taskset", "--plants", "--seed-base", "--out"]
     sampling = ["--seeds", "--exhaustive", "--exhaustive-budget"]
@@ -446,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Infeasible, Unschedulable, DeadlineMiss, NumericsError) as exc:
+    except (Infeasible, Unschedulable, DeadlineMiss, NumericsError,
+            EmptyCandidateSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

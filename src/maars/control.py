@@ -179,10 +179,6 @@ class DiscretizedLoop:
     closed_loop: np.ndarray  # augmented 2n x 2n matrix
     innovation_cov: np.ndarray
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.closed_loop))))
-
 
 def design_loop(plant: PlantModel, period_slots: int, delta: float) -> DiscretizedLoop:
     h = period_slots * delta
@@ -230,10 +226,6 @@ class Detector:
         self.buffer.append(z)
         self.g = sum(self.buffer) / len(self.buffer)
         return self.g, self.g > self.threshold
-
-    def reset(self):
-        self.buffer.clear()
-        self.g = 0.0
 
 
 def calibrate_threshold(

@@ -22,10 +22,10 @@ import numpy as np
 from .control import (
     Detector, DiscretizedLoop, PlantModel, calibrate_threshold, design_loop, noise_factor,
 )
-from .runtime import SelectorState, make_selector, resolve_flag, run_epoch
-from .schedgen import Schedule, simulate_fixed_priority
+from .runtime import SelectorState, resolve_flag, run_epoch
+from .schedgen import Schedule
 from .taskmodel import ConfigError, TaskSet, TrustedTask
-from .vulnerability import ScheduleStore, analyze, completion_slot, exposure_window, svt
+from .vulnerability import completion_slot, exposure_window
 
 DIVERGENCE_BOUND = 1e6
 
@@ -191,7 +191,6 @@ class CoSimWorld:
         self.victim_hits = 0
         self.victim_jobs = 0
         self.trace: list[tuple] = []
-        self.trace_enabled = False
 
     def run_hyper_period(self, sched: Schedule) -> int:
         """Execute one hyper-period of ``sched``; returns the attack flag
@@ -245,8 +244,7 @@ class CoSimWorld:
                 if victim_id in self.loops:
                     self.loops[victim_id].tamper(self.scenario.injection, self.scenario.value)
                 hit_jobs.add(aew_owner[t_slot])
-            if self.trace_enabled:
-                self._record(t_slot, running)
+            self._record(t_slot, running)
             self.time_slots += 1
 
         if self.scenario is not None:
@@ -290,52 +288,24 @@ def _fit_metrics(
     return settled, rate
 
 
-def _static_store(taskset: TaskSet) -> ScheduleStore:
-    """The static policy as a store: the fixed-priority schedule at minimum
-    periods, deployable in normal mode (K = 1) and in every alert mode."""
-    sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
-    return ScheduleStore(
-        taskset=taskset,
-        schedules=[sched],
-        reports=[analyze(sched, taskset)],
-        svt=svt(taskset),
-        k_threshold=1,
-        lut={t.id: [0] for t in taskset.trusted},
-    )
-
-
 def run_scenario(
-    taskset: TaskSet,
     plants: dict[str, PlantModel],
     scenario: AttackScenario | None,
-    policy: str,
+    selector: SelectorState,
     seed: int,
     epochs: int,
-    store: ScheduleStore | None = None,
-    selector: SelectorState | None = None,
     noise_scale: float = 1.0,
     settle_band: float = 0.1,
     divergence_bound: float = DIVERGENCE_BOUND,
-    trace: bool = False,
 ) -> tuple[RunMetrics, CoSimWorld]:
-    """Drive ``epochs`` hyper-periods under the given deployment policy.
-
-    policy="static": the deterministic fixed-priority schedule at minimum
-    periods every epoch (``store`` and ``selector`` are ignored).
-    policy="maars": the runtime selector draws from ``store``. Both run
-    through ``runtime.run_epoch``. Deterministic for a fixed seed.
+    """Drive ``epochs`` hyper-periods of the task set of ``selector.store``,
+    deploying each epoch the schedule the selector draws from its store
+    (``runtime.run_epoch``). Deterministic for a fixed seed.
     """
-    if policy == "static":
-        selector = make_selector(_static_store(taskset), seed)
-    elif policy != "maars":
-        raise ValueError(f"unknown policy {policy!r}")
-    elif store is None or selector is None:
-        raise ValueError("maars policy needs a schedule store and selector")
     world = CoSimWorld(
-        taskset, plants, scenario, seed,
+        selector.store.taskset, plants, scenario, seed,
         noise_scale=noise_scale, divergence_bound=divergence_bound,
     )
-    world.trace_enabled = trace
     deployments = run_epoch(selector, world, epochs)
 
     victim_id = scenario.victim_id if scenario is not None else None

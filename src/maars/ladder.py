@@ -26,10 +26,6 @@ class LadderView:
     observation_slots: int
     conclusive: bool
 
-    @property
-    def inferred_columns(self) -> frozenset[int]:
-        return self.aai - self.aei
-
 
 def tile_timeline(sched: Schedule, observation_slots: int) -> list[int]:
     """Repeat the schedule's hyper-period to cover the observation window."""

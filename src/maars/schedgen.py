@@ -198,6 +198,7 @@ def pool_from_dict(data: dict) -> list[Schedule]:
 
 
 def save_pool(taskset: TaskSet, pool: list[Schedule], path: str | Path) -> None:
+    text = json.dumps(pool_to_dict(taskset, pool))  # json.dump encodes in pure Python
     with open(path, "w") as fh:
-        json.dump(pool_to_dict(taskset, pool), fh)
+        fh.write(text)
         fh.write("\n")

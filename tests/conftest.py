@@ -44,3 +44,12 @@ def minimal_store(minimal_ts):
     for spec in enumerate_specs(minimal_ts):
         pool.extend(enumerate_all(minimal_ts, spec))
     return build_store(pool, minimal_ts)
+
+
+@pytest.fixture(scope="session")
+def lu_static_store(lu_ts):
+    """The store of `simulate --policy static` on automotive_lu: its
+    fixed-priority schedule at minimum periods alone."""
+    from maars.cli import _static_store
+
+    return _static_store(lu_ts)

@@ -264,7 +264,7 @@ def test_criterion_09_cqlf_certification(plants, lu_ts):
     assert elapsed < 30.0
 
 
-def test_criterion_10_resilience(lu_ts, plants):
+def test_criterion_10_resilience(lu_ts, plants, lu_static_store):
     """Persistent tampering: the static schedule crosses the divergence
     bound; the same seed/scenario under the randomized pipeline raises the
     alert, stays bounded, and re-enters the settling band post-attack."""
@@ -276,7 +276,7 @@ def test_criterion_10_resilience(lu_ts, plants):
     bound = 100.0
 
     static_metrics, _ = run_scenario(
-        lu_ts, plants, scenario, policy="static", seed=42, epochs=40,
+        plants, scenario, make_selector(lu_static_store, 42), seed=42, epochs=40,
         divergence_bound=bound,
     )
     assert static_metrics.diverged
@@ -291,8 +291,8 @@ def test_criterion_10_resilience(lu_ts, plants):
     store = build_store(pool, pruned)
     selector = make_selector(store, seed=42)
     maars_metrics, _ = run_scenario(
-        pruned, plants, scenario, policy="maars", seed=42, epochs=40,
-        store=store, selector=selector, divergence_bound=bound, settle_band=1.0,
+        plants, scenario, selector, seed=42, epochs=40,
+        divergence_bound=bound, settle_band=1.0,
     )
     alert_epochs = sum(e.mode.startswith("alert") for e in selector.deployments)
     elapsed = time.perf_counter() - t0

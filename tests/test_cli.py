@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -268,6 +269,28 @@ class TestExitCodes:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed-base", "-1"],
+        ["analyze", "--seeds", "-1"],
+        ["baseline", "--seeds", "1.5"],
+        ["baseline", "--exhaustive-budget", "-1"],
+        ["simulate", "--epochs", "-1"],
+        ["analyze", "--gamma", "0.5"],
+        ["analyze", "--gamma", "0"],
+        ["analyze", "--gamma", "nan"],
+        ["analyze", "--gamma=-inf"],
+        ["simulate", "--noise-scale", "nan"],
+        ["simulate", "--noise-scale", "inf"],
+        ["simulate", "--noise-scale", "-0.5"],
+        ["simulate", "--policy", "edf"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--taskset", "minimal", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        flag = argv[1].split("=")[0]
+        assert f"argument {flag}: " in capsys.readouterr().err
+
 
 DROP = object()
 
@@ -468,6 +491,36 @@ def test_simulate_deploys_the_store_without_pruning(golden_stores, tmp_path, mon
             "--store", str(golden_stores / "analyze" / "store.json"),
             "--epochs", "2", "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
+
+
+STORE_WARNINGS = ("no schedule below SVT", "is empty: alert mode unavailable")
+
+
+def test_store_warnings_only_where_the_store_is_built(golden_stores, tmp_path, caplog):
+    """`baseline`'s LU store has no schedule below SVT and empty LUT rows;
+    `simulate --policy shuffle` deploys it from the whole pool and uses
+    neither, so it does not warn about them."""
+    with caplog.at_level(logging.WARNING):
+        assert main(golden_argv("shuffle", golden_stores, tmp_path / "sim")) == EXIT_OK
+    assert not any(w in r.getMessage() for r in caplog.records for w in STORE_WARNINGS)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert main(["baseline", "--taskset", "automotive_lu", "--seeds", "3",
+                     "--out", str(tmp_path / "base")]) == EXIT_OK
+    messages = [r.getMessage() for r in caplog.records]
+    for warning in STORE_WARNINGS:
+        assert any(warning in m for m in messages), warning
+
+
+def test_store_with_no_first_candidate_is_infeasible(golden_stores, tmp_path, capsys):
+    """`maars` draws its first schedule below SVT, and the baseline LU store
+    has none: exit 3 with one line, not a traceback."""
+    argv = ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
+            "--store", str(golden_stores / "baseline" / "store.json"),
+            "--epochs", "2", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

@@ -118,7 +118,7 @@ class TestGains:
             for p in t.period_menu:
                 loop = design_loop(plant, p, lu_ts.delta)
                 assert loop.closed_loop.shape == (2 * plant.n_states,) * 2
-                assert loop.spectral_radius < 1.0
+                assert np.max(np.abs(np.linalg.eigvals(loop.closed_loop))) < 1.0
 
     def test_augment_block_structure(self):
         A = np.array([[0.5]])
@@ -143,12 +143,6 @@ class TestDetector:
         det.step(np.array([2.0]))
         g, _ = det.step(np.array([4.0]))
         assert g == pytest.approx((4.0 + 16.0) / 2)
-
-    def test_reset(self):
-        det = Detector(np.array([[1.0]]), window=3, threshold=1.0)
-        det.step(np.array([5.0]))
-        det.reset()
-        assert det.g == 0.0 and len(det.buffer) == 0
 
     def test_calibration_hits_far_target(self):
         sigma = np.array([[2.0]])

@@ -45,9 +45,9 @@ class TestScenario:
 
 
 class TestNominal:
-    def test_no_attack_no_noise_converges(self, lu_ts, plants):
+    def test_no_attack_no_noise_converges(self, plants, lu_static_store):
         metrics, world = run_scenario(
-            lu_ts, plants, scenario=None, policy="static", seed=0, epochs=50,
+            plants, None, make_selector(lu_static_store, 0), seed=0, epochs=50,
             noise_scale=0.0,
         )
         assert not metrics.diverged
@@ -55,69 +55,59 @@ class TestNominal:
             # regulation: every state decays from its unit-vector start
             assert np.linalg.norm(sim.x) < 0.1
 
-    def test_deterministic_per_seed(self, lu_ts, plants):
+    def test_deterministic_per_seed(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=5.0)
         runs = []
         for _ in range(2):
             m, w = run_scenario(
-                lu_ts, plants, sc, policy="static", seed=9, epochs=4
+                plants, sc, make_selector(lu_static_store, 9), seed=9, epochs=4
             )
             runs.append((m.victim_hits, tuple(w.loops[2].norm_trace)))
         assert runs[0] == runs[1]
 
 
 class TestTampering:
-    def test_hits_match_vulnerability_count(self, lu_ts, plants):
+    def test_hits_match_vulnerability_count(self, lu_ts, plants, lu_static_store):
         """Every AEW hit of the compromised task lands exactly once per job."""
         from maars.vulnerability import attack_count
 
         sc = AttackScenario(5, 2, injection="bias", value=1.0)
         sched = simulate_fixed_priority(lu_ts, lu_ts.min_period_spec())
         metrics, _ = run_scenario(
-            lu_ts, plants, sc, policy="static", seed=0, epochs=3, noise_scale=0.0
+            plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=3,
+            noise_scale=0.0,
         )
         per_epoch = attack_count(sched, lu_ts.task(2), {5})
         assert metrics.victim_hits == 3 * per_epoch
         assert metrics.victim_jobs == 3 * (sched.length // 10)
         assert metrics.attack_success_rate == Fraction(3 * per_epoch, metrics.victim_jobs)
 
-    def test_attack_raises_detector_statistic(self, lu_ts, plants):
+    def test_attack_raises_detector_statistic(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=50.0)
         metrics, _ = run_scenario(
-            lu_ts, plants, sc, policy="static", seed=1, epochs=6
+            plants, sc, make_selector(lu_static_store, 1), seed=1, epochs=6
         )
         assert metrics.alarm_epochs  # persistent tampering must trip the alarm
 
-    def test_unknown_injection_rejected(self, lu_ts, plants):
+    def test_unknown_injection_rejected(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="melt", value=1.0)
         with pytest.raises(ValueError):
-            run_scenario(lu_ts, plants, sc, policy="static", seed=0, epochs=2)
+            run_scenario(plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2)
 
 
 class TestPolicies:
-    def test_maars_requires_store(self, lu_ts, plants):
-        with pytest.raises(ValueError):
-            run_scenario(lu_ts, plants, None, policy="maars", seed=0, epochs=1)
-
-    def test_unknown_policy(self, lu_ts, plants):
-        with pytest.raises(ValueError):
-            run_scenario(lu_ts, plants, None, policy="edf", seed=0, epochs=1)
-
-    def test_maars_deploys_from_store(self, lu_ts, plants, lu_bits):
+    def test_maars_deploys_from_store(self, plants, lu_bits):
         sc = AttackScenario(5, 2, injection="bias", value=20.0)
         selector = make_selector(lu_bits, seed=5)
-        metrics, _ = run_scenario(
-            lu_ts, plants, sc, policy="maars", seed=5, epochs=8,
-            store=lu_bits, selector=selector,
-        )
+        metrics, _ = run_scenario(plants, sc, selector, seed=5, epochs=8)
         assert len(selector.deployments) == 8
         assert not metrics.diverged
         assert len(metrics.deployed_ap) == 8
 
-    def test_divergence_stops_run(self, lu_ts, plants):
+    def test_divergence_stops_run(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=200.0)
         metrics, world = run_scenario(
-            lu_ts, plants, sc, policy="static", seed=2, epochs=50,
+            plants, sc, make_selector(lu_static_store, 2), seed=2, epochs=50,
             divergence_bound=50.0,
         )
         assert metrics.diverged
@@ -141,10 +131,10 @@ class TestMetrics:
 
 
 class TestTrace:
-    def test_trace_csv(self, tmp_path, lu_ts, plants):
+    def test_trace_csv(self, tmp_path, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=5.0)
         _, world = run_scenario(
-            lu_ts, plants, sc, policy="static", seed=0, epochs=2, trace=True
+            plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2
         )
         path = tmp_path / "trace.csv"
         save_trace_csv(world, path)

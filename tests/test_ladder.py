@@ -26,7 +26,7 @@ class TestBuildLadder:
         lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0])
         assert sorted(lv.aai) == [0, 1, 2, 3]
         assert sorted(lv.aei) == [2, 3]
-        assert lv.inferred_columns == frozenset({0, 1})
+        assert lv.aai - lv.aei == frozenset({0, 1})  # preemption shadows
         assert lv.conclusive
 
     def test_inferability_ratio(self, demo):
