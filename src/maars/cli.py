@@ -16,8 +16,9 @@ takes is a usage error, exit 2):
 
 Exit codes: 0 success, 2 configuration error (also a malformed task-set,
 plant or scenario file, a store that belongs to another task set or fails
-its load checks, a scenario whose roles do not match the task set, or an
-exhaustive enumeration over its budget),
+its load checks, a scenario whose roles do not match the task set, a
+``--store`` given to ``simulate --policy static``, or an exhaustive
+enumeration over its budget),
 3 infeasible (unschedulable task set, no stabilizable period menu, an
 empty schedule store, or a store with no schedule to deploy first).
 """
@@ -29,9 +30,8 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import DEFAULT_DECAY_RATE, __version__, data_path
@@ -40,7 +40,9 @@ from .cosim import AttackScenario, run_scenario, save_trace_csv
 from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
 from .ladder import build_ladder, inferability_ratio, tile_timeline
 from .runtime import EmptyCandidateSet, make_selector, save_log_csv
-from .schedgen import generate_pool, save_pool, simulate_fixed_priority
+from .schedgen import (
+    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority,
+)
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
 from .taskmodel import (
@@ -160,7 +162,7 @@ def prune_menus(
         record: dict = {"input": menu}
         if t.plant is not None:
             plant = plants[t.plant]
-            kept, _ = prune_performance(
+            kept = prune_performance(
                 build_matrix=lambda p: design_loop(plant, p, taskset.delta).closed_loop,
                 candidate_periods=menu,
                 alpha_of=lambda p: decay_alpha(gamma, p * taskset.delta),
@@ -177,17 +179,7 @@ def prune_menus(
             menu = prune_security(t, menu, list(taskset.untrusted))
         record["after_security"] = menu
         provenance[str(t.id)] = record
-        new_trusted.append(
-            type(t)(
-                id=t.id,
-                period_menu=tuple(menu),
-                wcet=t.wcet,
-                aew=t.aew,
-                criticality=t.criticality,
-                tap=t.tap,
-                plant=t.plant,
-            )
-        )
+        new_trusted.append(replace(t, period_menu=tuple(menu)))
     pruned = TaskSet(
         trusted=tuple(new_trusted), untrusted=taskset.untrusted, delta=taskset.delta
     )
@@ -357,6 +349,8 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
 
     if args.policy == "static":
+        if args.store is not None:
+            raise ConfigError("--store cannot be used with --policy static")
         store = _static_store(taskset)
     else:
         store_path = Path(args.store) if args.store else out / "store.json"
@@ -444,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--plants": dict(default=None,
                          help="directory of plant JSON configs (default: bundled)"),
         "--seed-base": dict(type=_COUNT, default=0),
-        "--out": dict(default=os.environ.get("MAARS_OUT", "maars-out")),
+        "--out": dict(default="maars-out"),
         "--policy": dict(choices=["static", "shuffle", "maars"], default="maars"),
         "--seeds": dict(type=_COUNT, default=100,
                         help="randomized schedules per period assignment"),
         "--exhaustive": dict(action="store_true",
                              help="enumerate every feasible schedule instead of sampling"),
-        "--exhaustive-budget": dict(type=_COUNT, default=200_000),
+        "--exhaustive-budget": dict(type=_COUNT, default=DEFAULT_ENUM_BUDGET),
         "--gamma": dict(type=_NEGATIVE, default=DEFAULT_DECAY_RATE,
                         help="target continuous-time decay rate (negative)"),
         "--epochs": dict(type=_COUNT, default=50, help="hyper-periods to simulate"),

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -168,10 +168,8 @@ def augment(A_h, B_h, K_h, L_h, C) -> np.ndarray:
 
 @dataclass
 class DiscretizedLoop:
-    """All period-dependent matrices for one control loop at period h."""
+    """All period-dependent matrices for one control loop at one period."""
 
-    period_slots: int
-    h: float
     A: np.ndarray
     B: np.ndarray
     K: np.ndarray
@@ -181,13 +179,10 @@ class DiscretizedLoop:
 
 
 def design_loop(plant: PlantModel, period_slots: int, delta: float) -> DiscretizedLoop:
-    h = period_slots * delta
-    A_h, B_h = discretize(plant, h)
+    A_h, B_h = discretize(plant, period_slots * delta)
     K = lqr_gain(plant, A_h, B_h)
     L, innovation = kalman_gain(plant, A_h)
     return DiscretizedLoop(
-        period_slots=period_slots,
-        h=h,
         A=A_h,
         B=B_h,
         K=K,
@@ -272,23 +267,6 @@ def measure_far(
 
 # ---------------------------------------------------------------------------
 # plant config I/O
-
-
-def plant_to_dict(plant: PlantModel) -> dict:
-    d = {
-        "name": plant.name,
-        "A": plant.A.tolist(),
-        "B": plant.B.tolist(),
-        "C": plant.C.tolist(),
-        "W": plant.W.tolist(),
-        "V": plant.V.tolist(),
-        "Q": plant.Q.tolist(),
-        "R": plant.R.tolist(),
-        "detector": {"window": plant.detector_window, "far_target": plant.far_target},
-    }
-    if plant.detector_threshold is not None:
-        d["detector"]["threshold"] = plant.detector_threshold
-    return d
 
 
 def plant_from_dict(data: dict) -> PlantModel:

@@ -74,7 +74,6 @@ class ControlLoopSim:
         delta: float,
         rng: np.random.Generator,
         noise_scale: float = 1.0,
-        x0: np.ndarray | None = None,
     ):
         self.task = task
         self.plant = plant
@@ -84,7 +83,7 @@ class ControlLoopSim:
             p: design_loop(plant, p, delta) for p in task.period_menu
         }
         n = plant.n_states
-        self.x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
+        self.x = np.ones(n)
         self.xhat = np.zeros(n)
         p_in = plant.B.shape[1]
         self.u_cmd = np.zeros(p_in)  # controller's believed input

@@ -28,14 +28,11 @@ _AWARE_SALT = 0xA3C59AC2ED1097E5
 class DeadlineMiss(Exception):
     def __init__(self, task_id: int, slot: int):
         super().__init__(f"task {task_id} missed a deadline at slot {slot}")
-        self.task_id = task_id
-        self.slot = slot
 
 
 class BudgetExceeded(Exception):
     def __init__(self, partial_count: int):
         super().__init__(f"enumeration budget exhausted after {partial_count} schedules")
-        self.partial_count = partial_count
 
 
 def splitmix64(state: int) -> tuple[int, int]:

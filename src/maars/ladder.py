@@ -19,11 +19,8 @@ from .taskmodel import TrustedTask, UntrustedTask
 
 @dataclass(frozen=True)
 class LadderView:
-    row_length: int
-    attacker_id: int
     aai: frozenset[int]
     aei: frozenset[int]
-    observation_slots: int
     conclusive: bool
 
 
@@ -65,14 +62,7 @@ def build_ladder(
         t % row for t in range(observation_slots) if timeline[t] == attacker.id
     }
     conclusive = observation_slots >= math.lcm(row, attacker.period)
-    return LadderView(
-        row_length=row,
-        attacker_id=attacker.id,
-        aai=frozenset(aai),
-        aei=frozenset(aei),
-        observation_slots=observation_slots,
-        conclusive=conclusive,
-    )
+    return LadderView(aai=frozenset(aai), aei=frozenset(aei), conclusive=conclusive)
 
 
 def inferability_ratio(lv: LadderView) -> Fraction:

@@ -15,7 +15,6 @@ The strict verdict implies the relaxed one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 
 from .taskmodel import TrustedTask, UntrustedTask
@@ -29,17 +28,6 @@ class Verdict(Enum):
     INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class PeriodAdmissibility:
-    victim_id: int
-    base_period: int
-    candidate: int
-    verdicts: dict[int, Verdict]  # attacker id -> verdict
-
-    def admissible_for_all(self) -> bool:
-        return all(v is not Verdict.INADMISSIBLE for v in self.verdicts.values())
-
-
 def admissible(p_prime: int, p_base: int, attacker: UntrustedTask) -> Verdict:
     """Classify candidate period p' > p_base against one untrusted task."""
     if p_prime <= p_base:
@@ -50,18 +38,6 @@ def admissible(p_prime: int, p_base: int, attacker: UntrustedTask) -> Verdict:
     if attacker.wcet <= k <= p_base - 1:
         return Verdict.RELAXED
     return Verdict.INADMISSIBLE
-
-
-def classify(
-    task: TrustedTask, p_prime: int, untrusted: list[UntrustedTask]
-) -> PeriodAdmissibility:
-    base = task.min_period
-    return PeriodAdmissibility(
-        victim_id=task.id,
-        base_period=base,
-        candidate=p_prime,
-        verdicts={u.id: admissible(p_prime, base, u) for u in untrusted},
-    )
 
 
 def prune_security(
@@ -77,9 +53,9 @@ def prune_security(
         raise ValueError(f"task {task.id}: base period missing from candidates")
     kept = [base]
     for p in sorted(performance_periods):
-        if p == base:
-            continue
-        if classify(task, p, untrusted).admissible_for_all():
+        if p != base and all(
+            admissible(p, base, u) is not Verdict.INADMISSIBLE for u in untrusted
+        ):
             kept.append(p)
     if len(kept) == 1 and len(performance_periods) > 1:
         log.warning(

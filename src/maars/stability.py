@@ -49,8 +49,6 @@ class CqlfProblem:
 @dataclass(frozen=True)
 class CqlfCertificate:
     P: np.ndarray
-    min_eigenvalue: float
-    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def decay_alpha(gamma: float, h: float) -> float:
     return math.exp(2.0 * gamma * h) - 1.0
 
 
-def verify_certificate(problem: CqlfProblem, P: np.ndarray, tol: float = FEAS_TOL):
+def verify_certificate(problem: CqlfProblem, P: np.ndarray):
     """Independent eigenvalue re-check of both LMI families."""
     P = (P + P.T) / 2
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
@@ -98,9 +96,7 @@ def _unstable_product_witness(matrices, max_len=4) -> str | None:
 
 
 def find_cqlf(
-    problem: CqlfProblem,
-    max_sweeps: int = DEFAULT_SWEEPS,
-    tol: float = FEAS_TOL,
+    problem: CqlfProblem, max_sweeps: int = DEFAULT_SWEEPS
 ) -> CqlfCertificate | Infeasible:
     """Alternating-projection search for a common Lyapunov matrix.
 
@@ -139,7 +135,7 @@ def find_cqlf(
             M = (M + M.T) / 2
             eigvals, eigvecs = np.linalg.eigh(M)
             lam = float(eigvals[-1])
-            if lam <= tol * 0.1:
+            if lam <= FEAS_TOL * 0.1:
                 continue
             worst = max(worst, lam)
             v = eigvecs[:, -1]
@@ -158,9 +154,9 @@ def find_cqlf(
         P = (eigvecs * eigvals) @ eigvecs.T
         P *= d / np.trace(P)
         if worst == 0.0:
-            min_eig, residual = verify_certificate(problem, P, tol)
-            if min_eig > tol and residual <= tol:
-                return CqlfCertificate(P=P, min_eigenvalue=min_eig, max_residual=residual)
+            min_eig, residual = verify_certificate(problem, P)
+            if min_eig > FEAS_TOL and residual <= FEAS_TOL:
+                return CqlfCertificate(P=P)
 
     witness = _unstable_product_witness(problem.matrices)
     if witness is not None:
@@ -168,14 +164,9 @@ def find_cqlf(
     return Infeasible(certified=False, reason="iteration budget exhausted")
 
 
-def prune_performance(
-    build_matrix,
-    candidate_periods: list[int],
-    alpha_of,
-    max_sweeps: int = DEFAULT_SWEEPS,
-) -> tuple[list[int], dict]:
+def prune_performance(build_matrix, candidate_periods: list[int], alpha_of) -> list[int]:
     """Largest subset of ``candidate_periods`` (always containing the
-    minimum) whose closed loops admit a CQLF.
+    minimum) whose closed loops admit a CQLF; empty when none does.
 
     ``build_matrix(period)`` returns the augmented closed-loop matrix;
     ``alpha_of(period)`` its decay parameter. Greedy: when the full set is
@@ -184,33 +175,24 @@ def prune_performance(
     """
     periods = sorted(candidate_periods)
     base = periods[0]
-    details: dict = {"attempts": []}
     mats = {p: build_matrix(p) for p in periods}
 
     # periods whose loop is individually unstable can never be kept
-    usable = []
-    for p in periods:
-        rho = float(np.max(np.abs(np.linalg.eigvals(mats[p]))))
-        if rho < 1.0:
-            usable.append(p)
-        else:
-            details["attempts"].append((p, f"dropped: spectral radius {rho:.6f}"))
-    if base not in usable:
-        return [], details
+    current = [
+        p for p in periods if float(np.max(np.abs(np.linalg.eigvals(mats[p])))) < 1.0
+    ]
+    if base not in current:
+        return []
 
-    current = list(usable)
     while True:
         problem = CqlfProblem(
             matrices=tuple(mats[p] for p in current),
             alphas=tuple(alpha_of(p) for p in current),
         )
-        result = find_cqlf(problem, max_sweeps=max_sweeps)
-        if isinstance(result, CqlfCertificate):
-            details["certificate"] = result
-            return current, details
-        details["attempts"].append((tuple(current), result.reason))
+        if isinstance(find_cqlf(problem), CqlfCertificate):
+            return current
         if len(current) == 1:
-            return [], details
+            return []
         # score each droppable period by the violation left without it
         best_drop, best_score = None, None
         for p in current:
@@ -221,7 +203,7 @@ def prune_performance(
                 matrices=tuple(mats[q] for q in rest),
                 alphas=tuple(alpha_of(q) for q in rest),
             )
-            probe = find_cqlf(sub, max_sweeps=max(200, max_sweeps // 20))
+            probe = find_cqlf(sub, max_sweeps=DEFAULT_SWEEPS // 20)
             if isinstance(probe, CqlfCertificate):
                 score = -1.0  # immediately feasible
             else:
@@ -229,6 +211,4 @@ def prune_performance(
                 score = residual
             if best_score is None or score < best_score:
                 best_drop, best_score = p, score
-        if best_drop is None:
-            return [base] if len(current) > 1 else [], details
         current.remove(best_drop)

@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -291,9 +291,3 @@ def taskset_from_dict(data: dict) -> TaskSet:
 def load_taskset(path: str | Path) -> TaskSet:
     with open(path) as fh:
         return taskset_from_dict(json.load(fh))
-
-
-def save_taskset(taskset: TaskSet, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(taskset_to_dict(taskset), fh, indent=2)
-        fh.write("\n")

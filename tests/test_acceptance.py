@@ -5,7 +5,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from maars.cli import feasible_specs, prune_menus
 from maars.control import (

@@ -23,7 +23,8 @@ from maars.cli import (
     prune_menus,
     write_ir_csv,
 )
-from maars.taskmodel import save_taskset, taskset_to_dict
+from maars.schedgen import simulate_fixed_priority
+from maars.taskmodel import taskset_to_dict
 from maars.vulnerability import export_reports_csv, load_store
 
 
@@ -79,6 +80,14 @@ class TestBaseline:
         pool = json.loads((tmp_path / "pool.json").read_text())
         periods = {tuple(rec["periods"]) for rec in pool["schedules"]}
         assert periods == {(2, 4)}  # minimum rates only
+
+    def test_zero_seeds_stores_the_fixed_priority_schedule(self, tmp_path, minimal_ts):
+        code = main(["baseline", "--taskset", "minimal", "--seeds", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        store = load_store(tmp_path / "store.json", minimal_ts)
+        fp = simulate_fixed_priority(minimal_ts, minimal_ts.min_period_spec())
+        assert store.schedules == [fp]
 
 
 class TestSimulate:
@@ -172,6 +181,10 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "exhaustive-budget":
         return ["analyze", "--taskset", "minimal", "--exhaustive",
                 "--exhaustive-budget", "10", "--out", str(tmp_path)]
+    if case == "static-with-store":
+        return ["simulate", "--taskset", "minimal", "--policy", "static",
+                "--store", "/nonexistent/store.json", "--epochs", "1",
+                "--out", str(tmp_path)]
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--store", str(lu_store), "--out", str(tmp_path)]
@@ -240,8 +253,8 @@ class TestExitCodes:
         assert code == EXIT_INFEASIBLE
 
     @pytest.mark.parametrize("case", [
-        "exhaustive-budget", "foreign-store", "truncated-store", "untrusted-victim",
-        "trusted-attacker",
+        "exhaustive-budget", "static-with-store", "foreign-store", "truncated-store",
+        "untrusted-victim", "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
         *BAD_TASKSET, *BAD_PLANT,
     ])

@@ -89,6 +89,13 @@ class TestTampering:
         )
         assert metrics.alarm_epochs  # persistent tampering must trip the alarm
 
+    def test_replace_overwrites_every_buffer_entry(self, lu_ts, plants):
+        t = lu_ts.trusted[0]
+        sim = ControlLoopSim(t, plants[t.plant], lu_ts.delta, np.random.default_rng(0))
+        sim.buffer = np.arange(1.0, sim.buffer.size + 1)
+        sim.tamper("replace", 7.5)
+        np.testing.assert_array_equal(sim.buffer, np.full(sim.buffer.size, 7.5))
+
     def test_unknown_injection_rejected(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="melt", value=1.0)
         with pytest.raises(ValueError):

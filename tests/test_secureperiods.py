@@ -2,7 +2,7 @@
 
 import pytest
 
-from maars.secureperiods import Verdict, admissible, classify, prune_security
+from maars.secureperiods import Verdict, admissible, prune_security
 from maars.taskmodel import TrustedTask, UntrustedTask
 
 
@@ -40,11 +40,10 @@ class TestAdmissible:
 
 class TestClassify:
     def test_per_attacker_verdicts(self):
-        others = [ATTACKER, UntrustedTask(id=3, period=30, wcet=5)]
-        result = classify(victim([10, 12]), 12, others)
-        assert result.verdicts[2] is Verdict.STRICT
-        assert result.verdicts[3] is Verdict.INADMISSIBLE  # k'=2 < e=5
-        assert not result.admissible_for_all()
+        other = UntrustedTask(id=3, period=30, wcet=5)
+        assert admissible(12, 10, ATTACKER) is Verdict.STRICT
+        assert admissible(12, 10, other) is Verdict.INADMISSIBLE  # k'=2 < e=5
+        assert prune_security(victim([10, 12]), [10, 12], [ATTACKER, other]) == [10]
 
 
 class TestPrune:

@@ -125,7 +125,7 @@ class TestFindCqlf:
             alphas=problem.alphas,
         )
         P_t = T.T @ cert.P @ T
-        min_eig, residual = verify_certificate(transformed, P_t, tol=1e-6)
+        min_eig, residual = verify_certificate(transformed, P_t)
         assert min_eig > 0
         assert residual <= 1e-6 * max(1.0, float(np.linalg.norm(P_t)))
 
@@ -134,28 +134,46 @@ class TestPrunePerformance:
     def test_keeps_full_stable_menu(self, plants, lu_ts):
         t = lu_ts.trusted[0]
         plant = plants[t.plant]
-        kept, details = prune_performance(
+        kept = prune_performance(
             build_matrix=lambda p: design_loop(plant, p, lu_ts.delta).closed_loop,
             candidate_periods=list(t.period_menu),
             alpha_of=lambda p: decay_alpha(-0.5, p * lu_ts.delta),
         )
         assert kept == sorted(t.period_menu)
-        assert isinstance(details["certificate"], CqlfCertificate)
 
     def test_drops_unstable_period(self):
         def build(p):
             return np.eye(2) * (0.5 if p == 1 else 1.5)
 
-        kept, details = prune_performance(
+        kept = prune_performance(
             build_matrix=build,
             candidate_periods=[1, 2],
             alpha_of=lambda p: -0.1,
         )
         assert kept == [1]
-        assert any("spectral radius" in reason for _, reason in details["attempts"])
+
+    def test_greedy_drop_breaks_unstable_product(self):
+        # each loop is stable, but 2 and 3 switched together have the
+        # product witness of the certified-infeasible pair above; one of
+        # them is dropped and the rest is certified
+        mats = {
+            1: 0.5 * np.eye(2),
+            2: np.array([[0.0, 2.0], [0.0, 0.0]]),
+            3: np.array([[0.0, 0.0], [2.0, 0.0]]),
+        }
+        full = find_cqlf(
+            CqlfProblem(matrices=tuple(mats.values()), alphas=(-0.1,) * 3), max_sweeps=300
+        )
+        assert isinstance(full, Infeasible) and "product" in full.reason
+        kept = prune_performance(
+            build_matrix=mats.__getitem__,
+            candidate_periods=[1, 2, 3],
+            alpha_of=lambda p: -0.1,
+        )
+        assert kept == [1, 3]
 
     def test_unstable_base_infeasible(self):
-        kept, _ = prune_performance(
+        kept = prune_performance(
             build_matrix=lambda p: np.eye(2) * 1.5,
             candidate_periods=[1, 2],
             alpha_of=lambda p: -0.1,

@@ -17,7 +17,6 @@ from maars.taskmodel import (
     hyper_period,
     is_schedulable,
     load_taskset,
-    save_taskset,
     taskset_from_dict,
     taskset_to_dict,
     wcrt,
@@ -161,7 +160,7 @@ class TestSpecs:
 class TestIO:
     def test_round_trip(self, tmp_path, lu_ts):
         path = tmp_path / "ts.json"
-        save_taskset(lu_ts, path)
+        path.write_text(json.dumps(taskset_to_dict(lu_ts)))
         assert load_taskset(path) == lu_ts
 
     def test_dict_round_trip_preserves_hash(self, hu_ts):
