@@ -269,7 +269,6 @@ def cmd_analyze(args) -> int:
     taskset = resolve_taskset(args.taskset)
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if not is_schedulable(taskset):
         raise Infeasible("task set unschedulable at minimum periods")
@@ -280,7 +279,6 @@ def cmd_analyze(args) -> int:
         specs = feasible_specs(pruned)
         if not specs:
             raise Infeasible("no feasible period assignment after pruning")
-        (out / "periods.json").write_text(json.dumps(provenance, indent=2) + "\n")
     else:
         pruned, provenance = taskset, None
         specs = [taskset.min_period_spec()]
@@ -305,6 +303,10 @@ def cmd_analyze(args) -> int:
             pool = list(unique.values())
     if not pool:
         raise Infeasible("empty schedule pool")
+    # made only now, so a run that fails its input checks leaves no --out behind
+    out.mkdir(parents=True, exist_ok=True)
+    if provenance is not None:
+        (out / "periods.json").write_text(json.dumps(provenance, indent=2) + "\n")
     save_pool(pruned, pool, out / "pool.json")
 
     store = build_store(pool, pruned)
@@ -345,7 +347,6 @@ def cmd_simulate(args) -> int:
     taskset = resolve_taskset(args.taskset)
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario)
 
     if args.policy == "static":
@@ -369,6 +370,7 @@ def cmd_simulate(args) -> int:
         plants, scenario, selector,
         seed=args.seed_base, epochs=args.epochs, noise_scale=args.noise_scale,
     )
+    out.mkdir(parents=True, exist_ok=True)
     save_trace_csv(world, out / "trace.csv")
     if args.policy != "static":
         save_log_csv(selector.deployments, out / "deployments.csv")
@@ -475,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, BudgetExceeded) as exc:
+    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError,
+            json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Infeasible, Unschedulable, DeadlineMiss, NumericsError,

@@ -12,7 +12,6 @@ later, matching the discrete closed-loop model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -189,7 +188,7 @@ class CoSimWorld:
         self.diverged = False
         self.victim_hits = 0
         self.victim_jobs = 0
-        self.trace: list[tuple] = []
+        self.trace: list[str] = []  # one finished CSV line per slot
 
     def run_hyper_period(self, sched: Schedule) -> int:
         """Execute one hyper-period of ``sched``; returns the attack flag
@@ -218,6 +217,12 @@ class CoSimWorld:
                     for slot in exposure_window(c, t.aew, p):
                         aew_owner[slot] = c
 
+        # the victim's trace columns, formatted again only after an event
+        # that can change them: the epoch start (alarmed resets), its plant
+        # step, its job completion, a tamper. Not by comparing values:
+        # -0.0 == 0.0, and nan never equals itself.
+        victim = self.loops.get(self.scenario.victim_id) if self.scenario is not None else None
+        victim_text, stale = "", victim is not None
         hit_jobs: set[int] = set()
         for t_slot in range(l):
             running = sched.slots[t_slot]
@@ -227,38 +232,50 @@ class CoSimWorld:
             for sim, p in sims:
                 if t_slot % p == 0 and self.time_slots > 0:
                     sim.advance_plant(self.time_slots * delta)
+                    stale = stale or sim is victim
                     if sim.norm > self.divergence_bound:
                         self.diverged = True
             if self.diverged:
                 break
             if running in self.loops and t_slot in completions:
-                self.loops[running].job_complete()
+                done = self.loops[running]
+                done.job_complete()
+                stale = stale or done is victim
             if (
                 attack_on
                 and self.scenario is not None
                 and running == self.scenario.compromised_task_id
                 and t_slot in aew_owner
             ):
-                victim_id = self.scenario.victim_id
-                if victim_id in self.loops:
-                    self.loops[victim_id].tamper(self.scenario.injection, self.scenario.value)
+                if victim is not None:
+                    victim.tamper(self.scenario.injection, self.scenario.value)
+                    stale = True
                 hit_jobs.add(aew_owner[t_slot])
-            self._record(t_slot, running)
+            if stale:
+                victim_text = victim_columns(
+                    victim.norm, float(victim.buffer[0]), victim.detector.g, victim.alarmed
+                )
+                stale = False
+            self.trace.append(trace_line(self.time_slots * delta, running, victim_text))
             self.time_slots += 1
 
         if self.scenario is not None:
-            victim = ts.task(self.scenario.victim_id)
-            self.victim_jobs += l // sched.spec.period_of(victim.id)
+            self.victim_jobs += l // sched.spec.period_of(self.scenario.victim_id)
             self.victim_hits += len(hit_jobs)
         self.epoch += 1
         return resolve_flag(ts, [tid for tid, sim in self.loops.items() if sim.alarmed])
 
-    def _record(self, t_slot: int, running: int):
-        row: list = [self.time_slots * self.taskset.delta, running]
-        if self.scenario is not None and self.scenario.victim_id in self.loops:
-            sim = self.loops[self.scenario.victim_id]
-            row += [sim.norm, float(sim.buffer[0]), sim.detector.g, int(sim.alarmed)]
-        self.trace.append(tuple(row))
+
+def victim_columns(norm: float, u: float, g: float, alarmed: bool) -> str:
+    """The victim's four trace columns, as ``csv.writer`` writes them after
+    the first two (floats by ``repr``)."""
+    return f",{norm!r},{u!r},{g!r},{int(alarmed)}"
+
+
+def trace_line(time_s: float, running: int, victim_text: str = "") -> str:
+    """One finished trace row: the bytes ``csv.writer`` writes for
+    ``(time_s, running, *victim columns)``."""
+    return f"{time_s!r},{running}{victim_text}\r\n"
 
 
 def _fit_metrics(
@@ -328,6 +345,5 @@ def run_scenario(
 
 def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "running_task", "victim_norm", "victim_u", "g", "alarm"])
-        writer.writerows(world.trace)
+        fh.write("time_s,running_task,victim_norm,victim_u,g,alarm\r\n")
+        fh.writelines(world.trace)

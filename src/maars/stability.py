@@ -103,7 +103,8 @@ def find_cqlf(
     Each sweep: for every subsystem, cut along the half-space violated by
     the top eigenvector of its Lyapunov inequality; then clip P back onto
     the PD cone and renormalize trace(P) = dim. Subsystem instability or an
-    unstable short switching product yields a certified Infeasible.
+    unstable short switching product, both checked before any sweep, yields
+    a certified Infeasible.
     """
     d = problem.dim
     for idx, A in enumerate(problem.matrices):
@@ -113,6 +114,11 @@ def find_cqlf(
                 certified=True,
                 reason=f"subsystem {idx} is not Schur stable (rho={rho:.6f})",
             )
+    # an unstable switching product rules out every common Lyapunov
+    # function, so no sweep can succeed where the witness exists
+    witness = _unstable_product_witness(problem.matrices)
+    if witness is not None:
+        return Infeasible(certified=True, reason=witness)
 
     # Warm start: sum of the per-subsystem Lyapunov solutions of
     # (A/sqrt(1+alpha))' P (A/sqrt(1+alpha)) - P = -I. Each term solves its
@@ -158,9 +164,6 @@ def find_cqlf(
             if min_eig > FEAS_TOL and residual <= FEAS_TOL:
                 return CqlfCertificate(P=P)
 
-    witness = _unstable_product_witness(problem.matrices)
-    if witness is not None:
-        return Infeasible(certified=True, reason=witness)
     return Infeasible(certified=False, reason="iteration budget exhausted")
 
 

@@ -176,32 +176,37 @@ BAD_PLANT = {
 
 
 def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
-    """argv of a command that must end in a configuration error."""
+    """argv of a command that must end in a configuration error, writing
+    to ``tmp_path / "out"``."""
     lu_store = stores / "analyze" / "store.json"
+    out = str(tmp_path / "out")
     if case == "exhaustive-budget":
         return ["analyze", "--taskset", "minimal", "--exhaustive",
-                "--exhaustive-budget", "10", "--out", str(tmp_path)]
+                "--exhaustive-budget", "10", "--out", out]
     if case == "static-with-store":
         return ["simulate", "--taskset", "minimal", "--policy", "static",
                 "--store", "/nonexistent/store.json", "--epochs", "1",
-                "--out", str(tmp_path)]
+                "--out", out]
+    if case == "missing-store":  # no --store: looked for in --out
+        return ["simulate", "--taskset", "minimal", "--policy", "maars",
+                "--epochs", "1", "--out", out]
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
-                "--store", str(lu_store), "--out", str(tmp_path)]
+                "--store", str(lu_store), "--out", out]
     if case == "truncated-store":
         text = lu_store.read_text()
         path = tmp_path / "truncated.json"
         path.write_text(text[: len(text) // 2])
         return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
-                "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
+                "--store", str(path), "--epochs", "1", "--out", out]
     if case in CORRUPT_STORE:
         data = json.loads(lu_store.read_text())
         CORRUPT_STORE[case](data)
         path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(data))
         return ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
-                "--store", str(path), "--epochs", "1", "--out", str(tmp_path)]
-    static = ["simulate", "--policy", "static", "--epochs", "1", "--out", str(tmp_path)]
+                "--store", str(path), "--epochs", "1", "--out", out]
+    static = ["simulate", "--policy", "static", "--epochs", "1", "--out", out]
     if case == "taskset-not-object":
         path = tmp_path / "taskset.json"
         path.write_text("[1, 2]")
@@ -211,7 +216,7 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
         BAD_TASKSET[case](data)
         path = tmp_path / "taskset.json"
         path.write_text(json.dumps(data))
-        return ["baseline", "--taskset", str(path), "--out", str(tmp_path)]
+        return ["baseline", "--taskset", str(path), "--out", out]
     static += ["--taskset", "automotive_lu"]
     if case in BAD_PLANT:
         for src in data_path("plants").glob("*.json"):
@@ -235,25 +240,42 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
 
 
 class TestExitCodes:
+    """Every exit 2 or 3 also leaves no --out directory behind."""
+
     def test_missing_taskset_is_config_error(self, tmp_path):
-        assert main(["analyze", "--taskset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert main(["analyze", "--taskset", "nope", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_malformed_taskset_is_config_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
         bad.write_text("{not json")
-        assert main(["analyze", "--taskset", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert main(["analyze", "--taskset", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_unschedulable_is_infeasible(self, tmp_path, minimal_ts):
         data = taskset_to_dict(minimal_ts)
         # saturate the untrusted task so the set cannot meet deadlines
         data["untrusted"][0] = {"id": 3, "period": 4, "wcet": 3}
-        path = tmp_path / "overload.json"
+        path, out = tmp_path / "overload.json", tmp_path / "out"
         path.write_text(json.dumps(data))
-        code = main(["baseline", "--taskset", str(path), "--out", str(tmp_path)])
-        assert code == EXIT_INFEASIBLE
+        for command in ("analyze", "baseline"):
+            assert main([command, "--taskset", str(path), "--out", str(out)]) == EXIT_INFEASIBLE
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["simulate", "--policy", "static", "--epochs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_that_is_a_file_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main([*argv, "--taskset", "minimal", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", [
-        "exhaustive-budget", "static-with-store", "foreign-store", "truncated-store",
+        "exhaustive-budget", "static-with-store", "missing-store", "foreign-store",
+        "truncated-store",
         "untrusted-victim", "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
         *BAD_TASKSET, *BAD_PLANT,
@@ -263,6 +285,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scenario", "/nonexistent"],
@@ -366,7 +389,7 @@ def write_documents(docs: dict, root: Path) -> None:
 def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
     """Drop a key or an item of the task set, the plant, the store or the
     scenario, or replace a value by one of another type: simulate exits 0,
-    2 or 3, with no traceback."""
+    2 or 3, with no traceback, and only a run that exits 0 makes --out."""
     docs = dict(minimal_documents)
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(value_paths(docs[name]))))
@@ -376,10 +399,11 @@ def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
         write_documents(docs, Path(tmp))
         argv = ["simulate", "--taskset", f"{tmp}/taskset.json", "--plants", f"{tmp}/plants",
                 "--policy", "maars", "--store", f"{tmp}/store.json",
-                "--scenario", f"{tmp}/scenario.json", "--epochs", "2", "--out", tmp]
+                "--scenario", f"{tmp}/scenario.json", "--epochs", "2", "--out", f"{tmp}/out"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
+        assert (code == EXIT_OK) == Path(tmp, "out").exists()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE)
     assert "Traceback" not in err.getvalue()
 
@@ -401,7 +425,9 @@ class TestPruneMenus:
 # sha256 of the artifacts of short fixed-seed `simulate` runs through main().
 # A change to any of these bytes changes what the co-simulation or the
 # runtime selector does; a refactor of either must reproduce them exactly.
-# (`static` deploys no store, so it writes no deployments.csv.)
+# (`static` deploys no store, so it writes no deployments.csv.) On
+# `static-diverged` the victim's state passes the divergence bound at slot 40
+# of the second epoch, and the run stops there: trace.csv has 100 rows.
 SIMULATE_GOLDEN = {
     "maars-attack": {
         "metrics.json": "795e1232ddd5be6450d4f9d2251db35e8126366dc659082b1b828b65e236a663",
@@ -422,21 +448,28 @@ SIMULATE_GOLDEN = {
         "metrics.json": "3d174b4fbeeb34ae0b697be041855d2d1fc328e26f6360a6e2cec4c5037e6fdb",
         "trace.csv": "e88fa4153b118bfb8294535ccb6cc2b0841afd293355cd31ed31d166d55663a7",
     },
+    "static-diverged": {
+        "metrics.json": "adafbfbc941e338cb74a2dd1489a0c58151eb674ad8d96153e9a127cc998dd40",
+        "trace.csv": "aceabe743461470ad115a69b8de87ed8045f2e075cf9a78d3ea6f5063903603e",
+    },
 }
 GOLDEN_SCENARIO = {"compromised_task_id": 5, "victim_id": 2, "injection": "bias",
                    "value": 50.0}
+DIVERGING_SCENARIO = {"compromised_task_id": 5, "victim_id": 2, "injection": "replace",
+                      "value": 1e7}
 
 
 @pytest.fixture(scope="module")
 def golden_stores(tmp_path_factory):
     """The maars store of `analyze` and the shuffle store of `baseline` on
-    automotive_lu, plus the attack scenario file."""
+    automotive_lu, plus the attack scenario files."""
     root = tmp_path_factory.mktemp("golden")
     for command, seeds in (("analyze", "1"), ("baseline", "3")):
         code = main([command, "--taskset", "automotive_lu", "--seeds", seeds,
                      "--out", str(root / command)])
         assert code == EXIT_OK
     (root / "scenario.json").write_text(json.dumps(GOLDEN_SCENARIO))
+    (root / "diverging.json").write_text(json.dumps(DIVERGING_SCENARIO))
     return root
 
 
@@ -448,6 +481,8 @@ def golden_argv(arm: str, root, out) -> list[str]:
         "maars-nominal": ["--policy", "maars", "--store", str(root / "analyze" / "store.json"),
                           "--epochs", "12", "--seed-base", "4"],
         "static": ["--policy", "static", "--epochs", "6", "--seed-base", "1", *scenario],
+        "static-diverged": ["--policy", "static", "--epochs", "20", "--seed-base", "7",
+                            "--scenario", str(root / "diverging.json")],
         "shuffle": ["--policy", "shuffle", "--store", str(root / "baseline" / "store.json"),
                     "--epochs", "10", "--seed-base", "2", *scenario],
     }[arm]
@@ -527,13 +562,14 @@ def test_store_warnings_only_where_the_store_is_built(golden_stores, tmp_path, c
 
 def test_store_with_no_first_candidate_is_infeasible(golden_stores, tmp_path, capsys):
     """`maars` draws its first schedule below SVT, and the baseline LU store
-    has none: exit 3 with one line, not a traceback."""
+    has none: exit 3 with one line, not a traceback, and no --out."""
     argv = ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
             "--store", str(golden_stores / "baseline" / "store.json"),
-            "--epochs", "2", "--out", str(tmp_path)]
+            "--epochs", "2", "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

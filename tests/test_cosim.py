@@ -1,5 +1,8 @@
 """Closed-loop co-simulation: nominal convergence, tampering, policies."""
 
+import csv
+import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,8 @@ from maars.cosim import (
     _fit_metrics,
     run_scenario,
     save_trace_csv,
+    trace_line,
+    victim_columns,
 )
 from maars.runtime import make_selector
 from maars.schedgen import simulate_fixed_priority
@@ -119,6 +124,7 @@ class TestPolicies:
         )
         assert metrics.diverged
         assert world.epoch < 50  # stopped early
+        assert len(world.trace) == world.time_slots  # one line per simulated slot
 
 
 class TestMetrics:
@@ -148,6 +154,38 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("time_s,running_task")
         assert len(lines) == 1 + 2 * 60  # two hyper-periods of 60 slots
+        header = io.StringIO()
+        csv.writer(header).writerow(
+            ["time_s", "running_task", "victim_norm", "victim_u", "g", "alarm"]
+        )
+        assert path.read_bytes().startswith(header.getvalue().encode())
+
+
+# floats of every kind, with -0.0, nan, +-inf and subnormals always in reach
+ANY_FLOAT = st.floats() | st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e308]
+)
+
+
+class TestTraceLine:
+    """The co-simulation formats each trace row once, when it records it;
+    ``csv.writer`` is the reference for the bytes of every line."""
+
+    @given(
+        time_s=ANY_FLOAT | st.integers(-(2**100), 2**100),
+        running=st.integers(0, 2**70),
+        victim=st.none() | st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.booleans()),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_line_matches_csv_writer(self, time_s, running, victim):
+        row, text = [time_s, running], ""
+        if victim is not None:  # no victim: the two-column row
+            norm, u, g, alarmed = victim
+            row += [norm, u, g, int(alarmed)]
+            text = victim_columns(norm, u, g, alarmed)
+        ref = io.StringIO()
+        csv.writer(ref).writerow(row)
+        assert trace_line(time_s, running, text) == ref.getvalue()
 
 
 @st.composite
