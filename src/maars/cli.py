@@ -15,7 +15,8 @@ takes is a usage error, exit 2):
   deploys the store of ``analyze`` or ``baseline`` as it was built.
 
 Exit codes: 0 success, 2 configuration error (also a malformed task-set,
-plant or scenario file, a store that belongs to another task set or fails
+plant or scenario file, a directory where one of them or the store is
+expected, a store that belongs to another task set or fails
 its load checks, a scenario whose roles do not match the task set, a
 ``--store`` given to ``simulate --policy static``, or an exhaustive
 enumeration over its budget),
@@ -106,8 +107,8 @@ def resolve_plants(taskset: TaskSet, plants_dir: str | None) -> dict[str, PlantM
 
 
 def load_scenario(path: str | None) -> AttackScenario | None:
-    """Read an attack scenario; a field of the wrong type or an unknown
-    injection model raises ConfigError."""
+    """Read an attack scenario; a field of the wrong type or out of range or
+    an unknown injection model raises ConfigError."""
     if path is None:
         return None
     with open(path) as fh:
@@ -138,6 +139,14 @@ def load_scenario(path: str | None) -> AttackScenario | None:
             raise ConfigError(f"scenario field {name!r} has the wrong type: {value!r}")
     if scenario.injection not in ("replace", "bias"):
         raise ConfigError(f"unknown injection model {scenario.injection!r}")
+    if not math.isfinite(scenario.value):
+        raise ConfigError(f"scenario value must be finite, got {scenario.value!r}")
+    if scenario.start_epoch < 0:
+        raise ConfigError(f"scenario start_epoch must be >= 0, got {scenario.start_epoch}")
+    if scenario.duration_epochs is not None and scenario.duration_epochs < 1:
+        raise ConfigError(
+            f"scenario duration_epochs must be >= 1 or null, got {scenario.duration_epochs}"
+        )
     return scenario
 
 
@@ -477,8 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError,
-            json.JSONDecodeError, BudgetExceeded) as exc:
+    except (ConfigError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Infeasible, Unschedulable, DeadlineMiss, NumericsError,

@@ -36,8 +36,9 @@ def _is_real(value) -> bool:
 class PlantModel:
     """Continuous plant x' = A x + B u, y = C x + v, with synthesis weights.
 
-    W and V are process/measurement noise covariances (symmetric positive-
-    semidefinite); Q, R the LQR weights.
+    W and V are process/measurement noise covariances and Q the LQR state
+    weight, each symmetric positive-semidefinite; R, the LQR input weight, is
+    positive definite. Every entry is finite.
     """
 
     name: str
@@ -60,9 +61,11 @@ class PlantModel:
                   "Q": (n, n), "R": (m, m)}
         if any(getattr(self, x).shape != s for x, s in shapes.items()):
             raise ValueError(f"plant {self.name}: inconsistent matrix dimensions")
+        if not all(np.isfinite(getattr(self, x)).all() for x in "ABCWVQR"):
+            raise ValueError(f"plant {self.name}: matrix entries must be finite")
         if np.any(np.linalg.eigvalsh((self.R + self.R.T) / 2) <= 0):
             raise ValueError(f"plant {self.name}: R must be positive definite")
-        for x in "WV":
+        for x in "WVQ":
             try:
                 noise_factor(getattr(self, x))
             except ValueError as exc:
@@ -88,7 +91,7 @@ def noise_factor(cov: np.ndarray) -> np.ndarray:
     close at 1e-8)."""
     u, s, vh = np.linalg.svd(cov)
     if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
-        raise ValueError("covariance is not symmetric positive-semidefinite")
+        raise ValueError("not symmetric positive-semidefinite")
     return (u * np.sqrt(s)).T
 
 

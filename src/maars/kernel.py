@@ -14,8 +14,10 @@ costs no lookahead simulation.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 # The only implementation; summary.txt and benchmark records name it.
 BACKEND = "pure"
@@ -95,13 +97,33 @@ class _Tables:
 def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
     if any(l % p for p in periods):
         raise ValueError(f"horizon {l} is not a multiple of every period {periods}")
-    releases = [tuple(i for i, p in enumerate(periods) if t % p == 0) for t in range(l)]
+    releases = [()] * l
+    due = [0] * (l + 1)  # due[d]: work of the jobs with deadline d
+    for i, (p, e) in enumerate(zip(periods, wcets)):
+        for t in range(0, l, p):
+            releases[t] += (i,)
+            due[t + p] += e
     next_release = [l] * l
     for t in range(l - 2, -1, -1):
         next_release[t] = t + 1 if releases[t + 1] else next_release[t + 1]
-    base = [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
+    base = [d - demand for d, demand in enumerate(accumulate(due))]
+    # sliding minimum: ``rising`` holds the indices of the window whose base
+    # is below every later one in it, so its head is the window's minimum
     reach = max(periods)
-    window_min = [min(base[t + 1 : t + reach], default=l) for t in range(l)]
+    window_min = [l] * l
+    rising: deque = deque()
+    pushed = 1
+    for t in range(l):
+        end = min(t + reach, l + 1)
+        for d in range(pushed, end):
+            while rising and base[rising[-1]] >= base[d]:
+                rising.pop()
+            rising.append(d)
+        pushed = end
+        if rising and rising[0] == t:
+            rising.popleft()
+        if rising:
+            window_min[t] = base[rising[0]]
     overload = None
     if base[l] < 0:
         d = next(d for d in range(l + 1) if base[d] < 0)

@@ -84,8 +84,8 @@ class TrustedTask:
             raise ConfigError(f"task {self.id}: aew must be non-negative")
         if self.aew >= menu[0]:
             raise ConfigError(f"task {self.id}: aew must be below min period")
-        if self.criticality <= 0:
-            raise ConfigError(f"task {self.id}: criticality must be positive")
+        if not (math.isfinite(self.criticality) and self.criticality > 0):
+            raise ConfigError(f"task {self.id}: criticality must be finite and positive")
         if not 0.0 <= self.tap <= 1.0:
             raise ConfigError(f"task {self.id}: tap must be in [0,1]")
         if self.plant is not None and not isinstance(self.plant, str):
@@ -126,8 +126,8 @@ class TaskSet:
             raise ConfigError(
                 "priority indices must be contiguous 1..N with trusted tasks first"
             )
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigError("delta must be finite and positive")
 
     @property
     def n_tasks(self) -> int:

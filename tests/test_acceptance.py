@@ -176,7 +176,7 @@ def test_criterion_07_trend_reproduction(lu_ts, hu_ts, plants):
         assert maars_below > base_below, label
     elapsed = time.perf_counter() - t0
     print(f"[criterion 7] total {elapsed:.1f}s")
-    assert elapsed < 35.0
+    assert elapsed < 30.0
 
 
 def test_criterion_08_selector_invariants(minimal_store):

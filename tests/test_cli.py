@@ -156,14 +156,38 @@ CORRUPT_STORE = {
     "store-broken-job": break_a_job,
     "store-period-outside-menu": move_task_1_to_period_20,
 }
+# A JSON number too large for a float: ``to_json`` writes this string as the
+# bare literal 1e400, which reads back as inf.
+OVERFLOW = "<1e400>"
+
+
+def to_json(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400")
+
+
 BAD_SCENARIO = {
     "scenario-bad-injection": {"injection": "flip"},
     "scenario-value-not-number": {"injection": "bias", "value": "x"},
+    "scenario-value-nan": {"injection": "bias", "value": float("nan")},
+    "scenario-value-overflow": {"injection": "bias", "value": OVERFLOW},
     "scenario-start-epoch-string": {"start_epoch": "1"},
+    "scenario-start-epoch-negative": {"start_epoch": -3},
+    "scenario-duration-negative": {"duration_epochs": -1},
+    "scenario-duration-zero": {"duration_epochs": 0},
 }
 BAD_TASKSET = {
     "taskset-float-period": lambda d: d["trusted"][0].update(periods=[2.5, 3]),
     "taskset-bool-wcet": lambda d: d["untrusted"][0].update(wcet=True),
+    "taskset-infinite-criticality": lambda d: d["trusted"][0].update(
+        criticality=float("inf")
+    ),
+    "taskset-nan-delta": lambda d: d.update(delta=float("nan")),
+}
+# a directory given where a file is expected
+DIRECTORY_FLAG = {
+    "taskset-directory": "--taskset",
+    "store-directory": "--store",
+    "scenario-directory": "--scenario",
 }
 BAD_PLANT = {
     "plant-missing-A": lambda d: d.pop("A"),
@@ -172,6 +196,9 @@ BAD_PLANT = {
     "plant-V-not-symmetric": lambda d: d.update(
         C=[d["C"][0]] * 2, V=[[1e-4, 1e-5], [0.0, 1e-4]]
     ),
+    "plant-Q-negative": lambda d: d.update(Q=[[-q for q in row] for row in d["Q"]]),
+    "plant-R-infinite": lambda d: d.update(R=[[float("inf")]]),
+    "plant-A-nan": lambda d: d["A"][0].__setitem__(0, float("nan")),
 }
 
 
@@ -193,6 +220,12 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--store", str(lu_store), "--out", out]
+    if case in DIRECTORY_FLAG:
+        files = {"--taskset": "automotive_lu", "--store": str(lu_store),
+                 "--scenario": str(stores / "scenario.json"),
+                 DIRECTORY_FLAG[case]: str(stores)}
+        return ["simulate", "--policy", "maars", "--epochs", "1", "--out", out,
+                *(arg for pair in files.items() for arg in pair)]
     if case == "truncated-store":
         text = lu_store.read_text()
         path = tmp_path / "truncated.json"
@@ -228,7 +261,7 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "scenario-not-object":
         scenario.write_text("[1, 2]")
     elif case in BAD_SCENARIO:
-        scenario.write_text(json.dumps(
+        scenario.write_text(to_json(
             {"compromised_task_id": 5, "victim_id": 2, **BAD_SCENARIO[case]}
         ))
     else:
@@ -278,7 +311,7 @@ class TestExitCodes:
         "truncated-store",
         "untrusted-victim", "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
-        *BAD_TASKSET, *BAD_PLANT,
+        *BAD_TASKSET, *BAD_PLANT, *DIRECTORY_FLAG,
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
@@ -329,6 +362,7 @@ class TestExitCodes:
 
 
 DROP = object()
+DIRECTORY = object()  # the document's file replaced by a directory
 
 
 def value_paths(doc, path=()):
@@ -381,20 +415,28 @@ def minimal_documents(tmp_path_factory):
 def write_documents(docs: dict, root: Path) -> None:
     for name, doc in docs.items():
         (root / name).parent.mkdir(exist_ok=True)
-        (root / name).write_text(json.dumps(doc))
+        if doc is DIRECTORY:
+            (root / name).mkdir()
+        else:
+            (root / name).write_text(to_json(doc))
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
     """Drop a key or an item of the task set, the plant, the store or the
-    scenario, or replace a value by one of another type: simulate exits 0,
-    2 or 3, with no traceback, and only a run that exits 0 makes --out."""
+    scenario, replace a value by one of another type, by a non-finite or
+    negative number, or replace the whole document by a directory: simulate
+    exits 0, 2 or 3, with no traceback, and only a run that exits 0 makes
+    --out. A run that fails prints one line, and a directory is a
+    configuration error."""
     docs = dict(minimal_documents)
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(value_paths(docs[name]))))
-    replacements = [None, True, -1, 7, 2.5, "x", [], {}] + ([DROP] if path else [])
-    docs[name] = mutated(docs[name], path, data.draw(st.sampled_from(replacements)))
+    replacements = [None, True, -1, 7, 2.5, "x", [], {}, float("inf"), float("nan"),
+                    OVERFLOW, DROP if path else DIRECTORY]
+    replacement = data.draw(st.sampled_from(replacements) | st.integers(max_value=-1))
+    docs[name] = mutated(docs[name], path, replacement)
     with tempfile.TemporaryDirectory() as tmp:
         write_documents(docs, Path(tmp))
         argv = ["simulate", "--taskset", f"{tmp}/taskset.json", "--plants", f"{tmp}/plants",
@@ -406,6 +448,11 @@ def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
         assert (code == EXIT_OK) == Path(tmp, "out").exists()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE)
     assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert err.getvalue().startswith(("error: ", "infeasible: "))
+        assert err.getvalue().count("\n") == 1
+    if replacement is DIRECTORY:
+        assert code == EXIT_CONFIG
 
 
 class TestPruneMenus:

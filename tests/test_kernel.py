@@ -325,3 +325,43 @@ def test_small_sets_match_reference(case, seed):
     assert outcome(kernel.aware_shuffle, *args) == outcome(ref_aware_shuffle, *args)
     assert outcome(kernel.enumerate_all, periods, wcets, l, 300) == outcome(
         ref_enumerate_all, periods, wcets, l, 300)
+
+
+def reference_tables(periods, wcets, l):
+    """The kernel's per-task-set tables built slot by slot from their
+    definitions: the oracle of the linear-time construction in
+    ``kernel._tables``."""
+    releases = [tuple(i for i, p in enumerate(periods) if t % p == 0) for t in range(l)]
+    next_release = [
+        next((u for u in range(t + 1, l) if releases[u]), l) for t in range(l)
+    ]
+    base = [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
+    reach = max(periods)
+    window_min = [min(base[t + 1 : t + reach], default=l) for t in range(l)]
+    overload = None
+    if base[l] < 0:
+        d = next(d for d in range(l + 1) if base[d] < 0)
+        overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
+    return kernel._Tables(
+        tuple(periods), tuple(wcets), releases, next_release, base, window_min, overload
+    )
+
+
+@st.composite
+def period_wcet_sets(draw):
+    """Random 1-4 periods of 1-12 slots, each with a WCET up to its period,
+    so utilization may exceed 1."""
+    periods = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    return periods, [draw(st.integers(1, p)) for p in periods]
+
+
+@given(case=period_wcet_sets())
+@example(case=([1], [1]))  # a window of no interval ends
+@example(case=([2, 3], [1, 2]))  # utilization above 1
+@settings(max_examples=150, deadline=None)
+def test_tables_match_definitions(case):
+    periods, wcets = case
+    l = math.lcm(*periods)
+    assert kernel._tables.__wrapped__(tuple(periods), tuple(wcets), l) == (
+        reference_tables(periods, wcets, l)
+    )
