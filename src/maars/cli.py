@@ -18,8 +18,8 @@ Exit codes: 0 success, 2 configuration error (also a malformed task-set,
 plant or scenario file, a directory where one of them or the store is
 expected, a store that belongs to another task set or fails
 its load checks, a scenario whose roles do not match the task set, a
-``--store`` given to ``simulate --policy static``, or an exhaustive
-enumeration over its budget),
+``--store`` given to ``simulate --policy static``, a hyper-period over
+its bound, or an exhaustive enumeration over its budget),
 3 infeasible (unschedulable task set, no stabilizable period menu, an
 empty schedule store, or a store with no schedule to deploy first).
 """
@@ -39,10 +39,10 @@ from . import DEFAULT_DECAY_RATE, __version__, data_path
 from .control import NumericsError, PlantModel, design_loop, load_plant
 from .cosim import AttackScenario, run_scenario, save_trace_csv
 from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
-from .ladder import build_ladder, inferability_ratio, tile_timeline
+from .ladder import build_ladder, inferability_ratio
 from .runtime import EmptyCandidateSet, make_selector, save_log_csv
 from .schedgen import (
-    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority,
+    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, unique,
 )
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
@@ -217,10 +217,7 @@ def write_ir_csv(store, path: Path) -> None:
         for idx, sched in enumerate(store.schedules):
             for victim in ts.trusted:
                 for u in ts.untrusted:
-                    timeline = tile_timeline(
-                        sched, 2 * math.lcm(sched.length, victim.min_period, u.period)
-                    )
-                    lv = build_ladder(timeline, victim, u)
+                    lv = build_ladder(sched, victim, u)
                     writer.writerow(
                         [idx, victim.id, u.id, len(lv.aai), len(lv.aei),
                          float(inferability_ratio(lv))]
@@ -292,24 +289,12 @@ def cmd_analyze(args) -> int:
         pruned, provenance = taskset, None
         specs = [taskset.min_period_spec()]
 
-    if args.exhaustive:
-        pool = generate_pool(
-            pruned, specs, exhaustive=True, budget=args.exhaustive_budget
-        )
-    else:
-        pool = generate_pool(
-            pruned,
-            specs,
-            seeds_per_spec=args.seeds,
-            seed_base=args.seed_base,
-            attack_aware=maars,
-        )
-        if maars:
-            unique: dict = {}  # (periods, slots) -> first hardened schedule
-            for s in pool:
-                h = harden_schedule(s, pruned)
-                unique.setdefault((h.spec.all_periods(), h.slots), h)
-            pool = list(unique.values())
+    pool = generate_pool(
+        pruned, specs, seeds_per_spec=args.seeds, exhaustive=args.exhaustive,
+        budget=args.exhaustive_budget, seed_base=args.seed_base, attack_aware=maars,
+    )
+    if maars and not args.exhaustive:
+        pool = unique(harden_schedule(s, pruned) for s in pool)
     if not pool:
         raise Infeasible("empty schedule pool")
     # made only now, so a run that fails its input checks leaves no --out behind

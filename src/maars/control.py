@@ -6,7 +6,6 @@ residue detector.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .taskmodel import ConfigError, is_integer
+from .taskmodel import ConfigError, is_integer, is_real
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -26,10 +25,6 @@ class NumericsError(RuntimeError):
 
 class PeriodRejected(NumericsError):
     """Riccati iteration failed to converge or the gain is not stabilizing."""
-
-
-def _is_real(value) -> bool:
-    return (is_integer(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 @dataclass
@@ -73,9 +68,9 @@ class PlantModel:
         window, threshold, far = self.detector_window, self.detector_threshold, self.far_target
         if not is_integer(window) or window < 1:
             raise ValueError(f"detector window must be a positive integer, got {window!r}")
-        if threshold is not None and not _is_real(threshold):
+        if threshold is not None and not is_real(threshold):
             raise ValueError(f"detector threshold must be a number or null, got {threshold!r}")
-        if not _is_real(far) or not 0 < far < 1:
+        if not is_real(far) or not 0 < far < 1:
             raise ValueError(f"detector far_target must be in (0, 1), got {far!r}")
 
     @property

@@ -1,10 +1,10 @@
 """Attacker-side schedule-ladder inference.
 
-Folds an observed timeline into rows of the victim's minimum period so all
-victim arrivals align in one column, then derives the columns where a
-compromised lower-priority task arrives (AAI) and actually executes (AEI).
-Columns in AAI but never in AEI are preemption shadows: candidate victim
-arrival columns. Columns are 0-indexed.
+Folds a schedule, which repeats every hyper-period, into rows of the
+victim's minimum period so all victim arrivals align in one column, then
+derives the columns where a compromised lower-priority task arrives (AAI)
+and actually executes (AEI). Columns in AAI but never in AEI are preemption
+shadows: candidate victim arrival columns. Columns are 0-indexed.
 """
 
 from __future__ import annotations
@@ -24,44 +24,30 @@ class LadderView:
     conclusive: bool
 
 
-def tile_timeline(sched: Schedule, observation_slots: int) -> list[int]:
-    """Repeat the schedule's hyper-period to cover the observation window."""
-    reps = -(-observation_slots // sched.length)
-    return (list(sched.slots) * reps)[:observation_slots]
-
-
-def default_observation(row_length: int, attacker_period: int) -> int:
-    # 2x the repetition length of the arrival/execution pattern
-    return 2 * math.lcm(row_length, attacker_period)
-
-
 def build_ladder(
-    timeline: list[int],
+    sched: Schedule,
     victim: TrustedTask,
     attacker: UntrustedTask,
     observation_slots: int | None = None,
 ) -> LadderView:
-    """Fold ``timeline`` against the victim's minimum period.
+    """Fold ``sched`` against the victim's minimum period; slot t of the
+    observation is slot t mod L of the hyper-period L.
 
     The attacker knows its own arrival times (periodic from slot 0) and
     observes only its own executed slots; both are reduced modulo the row
-    length. Flagged inconclusive when the window is shorter than one full
-    repetition lcm(row, attacker period).
+    length. The default window covers two repetitions of lcm(row, attacker
+    period); a window shorter than one is flagged inconclusive.
     """
     row = victim.min_period
+    repetition = math.lcm(row, attacker.period)
     if observation_slots is None:
-        observation_slots = min(len(timeline), default_observation(row, attacker.period))
-    if observation_slots > len(timeline):
-        raise ValueError("observation window exceeds available timeline")
-    aai = {
-        (a * attacker.period) % row
-        for a in range(-(-observation_slots // attacker.period))
-        if a * attacker.period < observation_slots
-    }
+        observation_slots = 2 * repetition
+    slots, length = sched.slots, sched.length
+    aai = {a % row for a in range(0, observation_slots, attacker.period)}
     aei = {
-        t % row for t in range(observation_slots) if timeline[t] == attacker.id
+        t % row for t in range(observation_slots) if slots[t % length] == attacker.id
     }
-    conclusive = observation_slots >= math.lcm(row, attacker.period)
+    conclusive = observation_slots >= repetition
     return LadderView(aai=frozenset(aai), aei=frozenset(aei), conclusive=conclusive)
 
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import kernel
 from .taskmodel import TaskSet, TaskSpec, hyper_period
@@ -35,9 +36,21 @@ class Schedule:
     def length(self) -> int:
         return len(self.slots)
 
+    @property
+    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Identity of the schedule: its periods and its slots."""
+        return self.spec.all_periods(), self.slots
+
     def content_hash(self) -> str:
-        payload = (tuple(self.spec.all_periods()), self.slots)
-        return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+        return hashlib.sha256(repr(self.key).encode()).hexdigest()[:16]
+
+
+def unique(schedules: Iterable[Schedule]) -> list[Schedule]:
+    """The first schedule of each key, in order."""
+    first: dict[tuple, Schedule] = {}
+    for s in schedules:
+        first.setdefault(s.key, s)
+    return list(first.values())
 
 
 def _spec_arrays(taskset: TaskSet, spec: TaskSpec) -> tuple[list[int], list[int]]:
@@ -97,26 +110,19 @@ def generate_pool(
     when requested. Merge order is deterministic: specs in input order,
     first occurrence kept.
     """
-    pool: list[Schedule] = []
-    seen: set[tuple] = set()
-
-    def add(s: Schedule):
-        key = (s.spec.all_periods(), s.slots)
-        if key not in seen:
-            seen.add(key)
-            pool.append(s)
-
     draw = aware_shuffle_schedule if attack_aware else shuffle_schedule
-    for spec_idx, spec in enumerate(specs):
-        if exhaustive:
-            for s in enumerate_all(taskset, spec, budget):
-                add(s)
-        elif seeds_per_spec <= 0:
-            add(simulate_fixed_priority(taskset, spec))
-        else:
-            for k in range(seeds_per_spec):
-                add(draw(taskset, spec, seed_base + spec_idx * 1_000_003 + k))
-    return pool
+
+    def draws() -> Iterator[Schedule]:
+        for spec_idx, spec in enumerate(specs):
+            if exhaustive:
+                yield from enumerate_all(taskset, spec, budget)
+            elif seeds_per_spec <= 0:
+                yield simulate_fixed_priority(taskset, spec)
+            else:
+                for k in range(seeds_per_spec):
+                    yield draw(taskset, spec, seed_base + spec_idx * 1_000_003 + k)
+
+    return unique(draws())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a finite int or float; a bool is not a number."""
+    return (is_integer(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 def _require_ints(task_id, **fields) -> None:
     """Raise ConfigError unless every field value is an integer."""
     for name, value in fields.items():
@@ -84,10 +89,10 @@ class TrustedTask:
             raise ConfigError(f"task {self.id}: aew must be non-negative")
         if self.aew >= menu[0]:
             raise ConfigError(f"task {self.id}: aew must be below min period")
-        if not (math.isfinite(self.criticality) and self.criticality > 0):
-            raise ConfigError(f"task {self.id}: criticality must be finite and positive")
-        if not 0.0 <= self.tap <= 1.0:
-            raise ConfigError(f"task {self.id}: tap must be in [0,1]")
+        if not (is_real(self.criticality) and self.criticality > 0):
+            raise ConfigError(f"task {self.id}: criticality must be a finite positive number")
+        if not (is_real(self.tap) and 0.0 <= self.tap <= 1.0):
+            raise ConfigError(f"task {self.id}: tap must be a number in [0,1]")
         if self.plant is not None and not isinstance(self.plant, str):
             raise ConfigError(f"task {self.id}: plant must be a name, got {self.plant!r}")
 
@@ -126,8 +131,8 @@ class TaskSet:
             raise ConfigError(
                 "priority indices must be contiguous 1..N with trusted tasks first"
             )
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ConfigError("delta must be finite and positive")
+        if not (is_real(self.delta) and self.delta > 0):
+            raise ConfigError("delta must be a finite positive number")
 
     @property
     def n_tasks(self) -> int:
@@ -140,6 +145,13 @@ class TaskSet:
         if q < task_id <= self.n_tasks:
             return self.untrusted[task_id - q - 1]
         raise KeyError(task_id)
+
+    @cached_property
+    def tap_bounds(self) -> Mapping[int, Fraction]:
+        """Each trusted task's TAP as a fraction, keyed by task id; computed
+        once per task set and read-only."""
+        taps = {t.id: Fraction(t.tap).limit_denominator(10**6) for t in self.trusted}
+        return MappingProxyType(taps)
 
     @cached_property
     def criticality_levels(self) -> Mapping[int, Fraction]:
@@ -221,7 +233,7 @@ def hyper_period(spec: TaskSpec, lcm_bound: int = DEFAULT_LCM_BOUND) -> int:
     """LCM over all periods in the spec (trusted choices + untrusted)."""
     result = math.lcm(*spec.all_periods())
     if result > lcm_bound:
-        raise OverflowError(f"hyper-period {result} exceeds bound {lcm_bound}")
+        raise ConfigError(f"hyper-period {result} exceeds bound {lcm_bound}")
     return result
 
 

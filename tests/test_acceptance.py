@@ -16,7 +16,7 @@ from maars.control import (
     _dare,
 )
 from maars.cosim import AttackScenario, run_scenario
-from maars.ladder import build_ladder, default_observation, inferability_ratio, tile_timeline
+from maars.ladder import build_ladder, inferability_ratio
 from maars.runtime import make_selector, sched_sel
 from maars.schedgen import (
     aware_shuffle_schedule,
@@ -81,8 +81,7 @@ def test_criterion_02_multirate_counts_with_documented_deviation(minimal_ts):
 
 def test_criterion_03_ladder_reproduction(ladder_ts):
     sched = simulate_fixed_priority(ladder_ts, ladder_ts.min_period_spec())
-    timeline = tile_timeline(sched, default_observation(4, 5))
-    lv = build_ladder(timeline, ladder_ts.trusted[0], ladder_ts.untrusted[0])
+    lv = build_ladder(sched, ladder_ts.trusted[0], ladder_ts.untrusted[0])
     ir = inferability_ratio(lv)
     print(f"\n[criterion 3] |AAI|={len(lv.aai)} |AEI|={len(lv.aei)} "
           f"AEI={sorted(lv.aei)} IR={ir}")

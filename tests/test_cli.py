@@ -182,6 +182,13 @@ BAD_TASKSET = {
         criticality=float("inf")
     ),
     "taskset-nan-delta": lambda d: d.update(delta=float("nan")),
+    "taskset-bool-delta": lambda d: d.update(delta=True),
+    "taskset-bool-criticality": lambda d: d["trusted"][0].update(criticality=True),
+    "taskset-bool-tap": lambda d: d["trusted"][0].update(tap=True),
+    # lcm(99991, 4, 99989) is about 4e10, over the 1e9 hyper-period bound
+    "taskset-hyper-period-over-bound": lambda d: (
+        d["trusted"][0].update(periods=[99991]), d["untrusted"][0].update(period=99989)
+    ),
 }
 # a directory given where a file is expected
 DIRECTORY_FLAG = {

@@ -1,71 +1,141 @@
 """Ladder inference: folding, AAI/AEI extraction, inferability ratio."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maars.ladder import (
-    build_ladder,
-    default_observation,
-    inferability_ratio,
-    tile_timeline,
-)
-from maars.schedgen import simulate_fixed_priority
+from maars.ladder import LadderView, build_ladder, inferability_ratio
+from maars.schedgen import Schedule, simulate_fixed_priority
+from maars.taskmodel import TaskSpec, TrustedTask, UntrustedTask
 
 
 @pytest.fixture()
 def demo(ladder_ts):
     sched = simulate_fixed_priority(ladder_ts, ladder_ts.min_period_spec())
-    timeline = tile_timeline(sched, default_observation(4, 5))
-    return ladder_ts, sched, timeline
+    return ladder_ts, sched
 
 
 class TestBuildLadder:
     def test_reference_ladder(self, demo):
-        ts, _, timeline = demo
-        lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0])
+        ts, sched = demo
+        lv = build_ladder(sched, ts.trusted[0], ts.untrusted[0])
         assert sorted(lv.aai) == [0, 1, 2, 3]
         assert sorted(lv.aei) == [2, 3]
         assert lv.aai - lv.aei == frozenset({0, 1})  # preemption shadows
         assert lv.conclusive
 
     def test_inferability_ratio(self, demo):
-        ts, _, timeline = demo
-        lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0])
+        ts, sched = demo
+        lv = build_ladder(sched, ts.trusted[0], ts.untrusted[0])
         assert inferability_ratio(lv) == Fraction(1, 2)
 
     def test_full_execution_reveals_nothing(self, demo):
         """AEI covering every AAI column gives IR = 0 via the modulo."""
-        ts, _, _ = demo
+        ts, _ = demo
         row = ts.trusted[0].min_period
         attacker = ts.untrusted[0]
         # synthetic timeline: attacker executes at its release in every column
         timeline = [0] * 40
         for a in range(0, 40, attacker.period):
             timeline[a] = attacker.id
-        lv = build_ladder(timeline, ts.trusted[0], attacker)
+        lv = build_ladder(synthetic(timeline), ts.trusted[0], attacker)
         assert lv.aai == lv.aei
         assert inferability_ratio(lv) == 0
 
     def test_short_window_inconclusive(self, demo):
-        ts, _, timeline = demo
-        lv = build_ladder(timeline, ts.trusted[0], ts.untrusted[0], observation_slots=10)
+        ts, sched = demo
+        lv = build_ladder(sched, ts.trusted[0], ts.untrusted[0], observation_slots=10)
         assert not lv.conclusive
 
-    def test_window_exceeding_timeline_rejected(self, demo):
-        ts, _, timeline = demo
-        with pytest.raises(ValueError):
-            build_ladder(timeline, ts.trusted[0], ts.untrusted[0],
-                         observation_slots=len(timeline) + 1)
+    def test_default_observation_covers_two_repetitions(self, demo):
+        ts, sched = demo
+        victim, attacker = ts.trusted[0], ts.untrusted[0]
+        assert build_ladder(sched, victim, attacker) == build_ladder(
+            sched, victim, attacker, observation_slots=40
+        )
 
 
-class TestTile:
-    def test_tile_repeats_hyper_period(self, demo):
-        _, sched, _ = demo
-        tiled = tile_timeline(sched, 2 * sched.length + 3)
-        assert tiled[: sched.length] == list(sched.slots)
-        assert tiled[sched.length : 2 * sched.length] == list(sched.slots)
-        assert len(tiled) == 2 * sched.length + 3
+def synthetic(slots) -> Schedule:
+    return Schedule(spec=TaskSpec(periods=(len(slots),)), slots=tuple(slots),
+                    provenance="synthetic")
 
-    def test_default_observation_covers_two_repetitions(self):
-        assert default_observation(4, 5) == 40
+
+# Reference: the ladder over an explicitly tiled timeline. build_ladder,
+# which reads the schedule modulo its hyper-period, must equal it on every
+# schedule and observation window.
+
+
+def reference_tile_timeline(sched: Schedule, observation_slots: int) -> list[int]:
+    """Repeat the schedule's hyper-period to cover the observation window."""
+    reps = -(-observation_slots // sched.length)
+    return (list(sched.slots) * reps)[:observation_slots]
+
+
+def reference_default_observation(row_length: int, attacker_period: int) -> int:
+    # 2x the repetition length of the arrival/execution pattern
+    return 2 * math.lcm(row_length, attacker_period)
+
+
+def reference_build_ladder(
+    timeline: list[int],
+    victim: TrustedTask,
+    attacker: UntrustedTask,
+    observation_slots: int | None = None,
+) -> LadderView:
+    """Fold ``timeline`` against the victim's minimum period.
+
+    The attacker knows its own arrival times (periodic from slot 0) and
+    observes only its own executed slots; both are reduced modulo the row
+    length. Flagged inconclusive when the window is shorter than one full
+    repetition lcm(row, attacker period).
+    """
+    row = victim.min_period
+    if observation_slots is None:
+        observation_slots = min(
+            len(timeline), reference_default_observation(row, attacker.period)
+        )
+    if observation_slots > len(timeline):
+        raise ValueError("observation window exceeds available timeline")
+    aai = {
+        (a * attacker.period) % row
+        for a in range(-(-observation_slots // attacker.period))
+        if a * attacker.period < observation_slots
+    }
+    aei = {
+        t % row for t in range(observation_slots) if timeline[t] == attacker.id
+    }
+    conclusive = observation_slots >= math.lcm(row, attacker.period)
+    return LadderView(aai=frozenset(aai), aei=frozenset(aei), conclusive=conclusive)
+
+
+@st.composite
+def ladder_cases(draw):
+    slots = draw(st.lists(st.integers(0, 4), min_size=1, max_size=60))
+    row, period = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    repetition, length = math.lcm(row, period), len(slots)
+    observation = draw(st.one_of(
+        st.none(),
+        st.just(0),
+        st.integers(0, repetition - 1),  # below one repetition
+        st.integers(length + 1, 3 * length),  # beyond the hyper-period
+    ))
+    return slots, row, period, draw(st.integers(1, 4)), observation
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_cases())
+def test_folding_matches_tiled_reference(case):
+    slots, row, period, attacker_id, observation = case
+    sched = synthetic(slots)
+    victim = SimpleNamespace(min_period=row)
+    attacker = SimpleNamespace(id=attacker_id, period=period)
+    tiled = reference_tile_timeline(
+        sched, max(observation or 0, 2 * math.lcm(sched.length, row, period))
+    )
+    assert build_ladder(sched, victim, attacker, observation) == reference_build_ladder(
+        tiled, victim, attacker, observation
+    )

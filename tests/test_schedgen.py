@@ -1,5 +1,6 @@
 """Schedule generation: validity, determinism, enumeration counts, pools."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from maars.schedgen import (
     save_pool,
     shuffle_schedule,
     simulate_fixed_priority,
+    unique,
     validate_schedule,
 )
 from maars.taskmodel import TaskSpec, enumerate_specs
@@ -102,6 +104,20 @@ class TestPool:
         assert [(s.spec, s.slots, s.provenance, s.seed) for s in again] == [
             (s.spec, s.slots, s.provenance, s.seed) for s in pool
         ]
+
+    def test_unique_keeps_first_of_each_key_in_order(self, minimal_ts, spec2):
+        a, b = enumerate_all(minimal_ts, spec2)[:2]
+        a_again = Schedule(spec=a.spec, slots=a.slots, provenance="randomized", seed=7)
+        other_spec = Schedule(spec=TaskSpec((3, 4), (4,)), slots=a.slots,
+                              provenance="exhaustive")
+        assert unique([b, a, a_again, other_spec, b]) == [b, a, other_spec]
+
+    def test_key_repr_is_content_hash_payload(self, minimal_ts, spec2):
+        s = simulate_fixed_priority(minimal_ts, spec2)
+        assert s.key == ((2, 4, 4), s.slots)
+        payload = (tuple(s.spec.all_periods()), s.slots)
+        assert repr(s.key) == repr(payload)
+        assert s.content_hash() == hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
     def test_content_hash_distinguishes_specs(self, minimal_ts):
         a = simulate_fixed_priority(minimal_ts, TaskSpec((2, 4), (4,)))

@@ -148,7 +148,7 @@ class TestSpecs:
 
     def test_hyper_period_bound(self):
         spec = TaskSpec(periods=(10**5, 10**5 - 1), untrusted_periods=())
-        with pytest.raises(OverflowError):
+        with pytest.raises(ConfigError):
             hyper_period(spec, lcm_bound=10**6)
 
     def test_period_of_indexes_by_task_id(self, minimal_ts):
