@@ -14,14 +14,16 @@ takes is a usage error, exit 2):
   scripted attack scenario (deployment log, trace CSV, metrics JSON); it
   deploys the store of ``analyze`` or ``baseline`` as it was built.
 
-Exit codes: 0 success, 2 configuration error (also a malformed task-set,
-plant or scenario file, a directory where one of them or the store is
-expected, a store that belongs to another task set or fails
-its load checks, a scenario whose roles do not match the task set, a
-``--store`` given to ``simulate --policy static``, a hyper-period over
-its bound, or an exhaustive enumeration over its budget),
-3 infeasible (unschedulable task set, no stabilizable period menu, an
-empty schedule store, or a store with no schedule to deploy first).
+Exit codes: 0 success, 2 configuration error (a task-set, plant, scenario
+or store file that is missing, a directory, not UTF-8 JSON, not an object,
+or fails its checks, such as a store that belongs to another task set, a
+task set with no trusted task or a detector window over the calibration
+draws; a scenario whose roles do not match the task set, a ``--store``
+given to ``simulate --policy static``, a hyper-period over its bound, an
+exhaustive enumeration over its budget, or an ``--out`` that cannot be
+written), 3 infeasible (unschedulable task set, no stabilizable period
+menu, a period whose gain synthesis meets a singular matrix, an empty
+schedule store, or a store with no schedule to deploy first).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import DEFAULT_DECAY_RATE, __version__, data_path
@@ -53,6 +55,7 @@ from .taskmodel import (
     Unschedulable,
     enumerate_specs,
     is_schedulable,
+    load_json,
     load_taskset,
 )
 from .vulnerability import (
@@ -99,55 +102,19 @@ def resolve_plants(taskset: TaskSet, plants_dir: str | None) -> dict[str, PlantM
     for t in taskset.trusted:
         if t.plant is None or t.plant in plants:
             continue
-        path = base / f"{t.plant}.json"
-        if not path.exists():
-            raise ConfigError(f"plant config {path} not found")
-        plants[t.plant] = load_plant(path)
+        plants[t.plant] = load_plant(base / f"{t.plant}.json")
     return plants
 
 
 def load_scenario(path: str | None) -> AttackScenario | None:
-    """Read an attack scenario; a field of the wrong type or out of range or
-    an unknown injection model raises ConfigError."""
+    """Read an attack scenario; a key that names no field is ignored."""
     if path is None:
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario {path} is not a JSON object")
-    try:
-        scenario = AttackScenario(
-            compromised_task_id=data["compromised_task_id"],
-            victim_id=data["victim_id"],
-            injection=data.get("injection", "replace"),
-            value=data.get("value", 10.0),
-            start_epoch=data.get("start_epoch", 0),
-            duration_epochs=data.get("duration_epochs"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scenario file missing field {exc}") from exc
-    fields = {
-        "compromised_task_id": (int,),
-        "victim_id": (int,),
-        "value": (int, float),
-        "start_epoch": (int,),
-        "duration_epochs": (int, type(None)),
-    }
-    for name, types in fields.items():
-        value = getattr(scenario, name)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"scenario field {name!r} has the wrong type: {value!r}")
-    if scenario.injection not in ("replace", "bias"):
-        raise ConfigError(f"unknown injection model {scenario.injection!r}")
-    if not math.isfinite(scenario.value):
-        raise ConfigError(f"scenario value must be finite, got {scenario.value!r}")
-    if scenario.start_epoch < 0:
-        raise ConfigError(f"scenario start_epoch must be >= 0, got {scenario.start_epoch}")
-    if scenario.duration_epochs is not None and scenario.duration_epochs < 1:
-        raise ConfigError(
-            f"scenario duration_epochs must be >= 1 or null, got {scenario.duration_epochs}"
-        )
-    return scenario
+    names = {f.name for f in fields(AttackScenario)}
+    return load_json(
+        path, "scenario",
+        lambda data: AttackScenario(**{k: v for k, v in data.items() if k in names}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +125,6 @@ def prune_menus(
     taskset: TaskSet,
     plants: dict[str, PlantModel],
     gamma: float,
-    security: bool = True,
 ) -> tuple[TaskSet, dict]:
     """Performance (CQLF) then security pruning of every trusted menu.
 
@@ -184,8 +150,7 @@ def prune_menus(
             menu = kept
         else:
             record["after_performance"] = menu
-        if security:
-            menu = prune_security(t, menu, list(taskset.untrusted))
+        menu = prune_security(t, menu, list(taskset.untrusted))
         record["after_security"] = menu
         provenance[str(t.id)] = record
         new_trusted.append(replace(t, period_menu=tuple(menu)))
@@ -471,8 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError, json.JSONDecodeError, BudgetExceeded) as exc:
+    except (ConfigError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Infeasible, Unschedulable, DeadlineMiss, NumericsError,

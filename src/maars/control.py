@@ -5,7 +5,6 @@ residue detector.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,10 +12,13 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .taskmodel import ConfigError, is_integer, is_real
+from .taskmodel import is_integer, is_real, load_json
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
+# nominal residues drawn to calibrate a detector threshold; a window longer
+# than this would average fewer windows than it spans
+CALIBRATION_DRAWS = 100_000
 
 
 class NumericsError(RuntimeError):
@@ -66,8 +68,10 @@ class PlantModel:
             except ValueError as exc:
                 raise ValueError(f"plant {self.name}: {x}: {exc}") from exc
         window, threshold, far = self.detector_window, self.detector_threshold, self.far_target
-        if not is_integer(window) or window < 1:
-            raise ValueError(f"detector window must be a positive integer, got {window!r}")
+        if not (is_integer(window) and 1 <= window <= CALIBRATION_DRAWS):
+            raise ValueError(
+                f"detector window must be an integer in [1, {CALIBRATION_DRAWS}], got {window!r}"
+            )
         if threshold is not None and not is_real(threshold):
             raise ValueError(f"detector threshold must be a number or null, got {threshold!r}")
         if not is_real(far) or not 0 < far < 1:
@@ -178,8 +182,11 @@ class DiscretizedLoop:
 
 def design_loop(plant: PlantModel, period_slots: int, delta: float) -> DiscretizedLoop:
     A_h, B_h = discretize(plant, period_slots * delta)
-    K = lqr_gain(plant, A_h, B_h)
-    L, innovation = kalman_gain(plant, A_h)
+    try:
+        K = lqr_gain(plant, A_h, B_h)
+        L, innovation = kalman_gain(plant, A_h)
+    except np.linalg.LinAlgError as exc:  # a singular solve in the synthesis
+        raise PeriodRejected(f"period {period_slots}: {exc}") from exc
     return DiscretizedLoop(
         A=A_h,
         B=B_h,
@@ -221,46 +228,26 @@ class Detector:
         return self.g, self.g > self.threshold
 
 
-def calibrate_threshold(
-    sigma_res: np.ndarray,
-    window: int,
-    far_target: float,
-    n_steps: int = 100_000,
-    seed: int = 0,
-) -> float:
+def _nominal_statistic(sigma_res: np.ndarray, window: int, seed: int) -> np.ndarray:
+    """The windowed statistic over CALIBRATION_DRAWS nominal Gaussian
+    residues drawn with ``seed``."""
+    sigma_res = np.atleast_2d(np.asarray(sigma_res, dtype=float))
+    m = sigma_res.shape[0]
+    rng = np.random.default_rng(seed)
+    res = rng.multivariate_normal(np.zeros(m), sigma_res, size=CALIBRATION_DRAWS)
+    z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
+    return np.convolve(z, np.ones(window) / window, mode="valid")
+
+
+def calibrate_threshold(sigma_res: np.ndarray, window: int, far_target: float) -> float:
     """Monte-Carlo threshold for a desired false-alarm rate under nominal
     Gaussian residues: the (1 - far) quantile of the windowed statistic."""
-    sigma_res = np.atleast_2d(np.asarray(sigma_res, dtype=float))
-    m = sigma_res.shape[0]
-    rng = np.random.default_rng(seed)
-    res = rng.multivariate_normal(np.zeros(m), sigma_res, size=n_steps)
-    z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
-    if window > 1:
-        kernel = np.ones(window) / window
-        g = np.convolve(z, kernel, mode="valid")
-    else:
-        g = z
-    return float(np.quantile(g, 1.0 - far_target))
+    return float(np.quantile(_nominal_statistic(sigma_res, window, seed=0), 1.0 - far_target))
 
 
-def measure_far(
-    sigma_res: np.ndarray,
-    window: int,
-    threshold: float,
-    n_steps: int = 100_000,
-    seed: int = 1,
-) -> float:
+def measure_far(sigma_res: np.ndarray, window: int, threshold: float) -> float:
     """Empirical false-alarm rate of the windowed detector on fresh noise."""
-    sigma_res = np.atleast_2d(np.asarray(sigma_res, dtype=float))
-    m = sigma_res.shape[0]
-    rng = np.random.default_rng(seed)
-    res = rng.multivariate_normal(np.zeros(m), sigma_res, size=n_steps)
-    z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
-    if window > 1:
-        g = np.convolve(z, np.ones(window) / window, mode="valid")
-    else:
-        g = z
-    return float(np.mean(g > threshold))
+    return float(np.mean(_nominal_statistic(sigma_res, window, seed=1) > threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +255,21 @@ def measure_far(
 
 
 def plant_from_dict(data: dict) -> PlantModel:
-    """Parse a plant config; a missing key, a value of the wrong type or
-    matrices of inconsistent size raise ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError("plant config is not a JSON object")
-    try:
-        det = data.get("detector", {})
-        return PlantModel(
-            name=data["name"],
-            A=np.array(data["A"]),
-            B=np.array(data["B"]),
-            C=np.array(data["C"]),
-            W=np.array(data["W"]),
-            V=np.array(data["V"]),
-            Q=np.array(data["Q"]),
-            R=np.array(data["R"]),
-            detector_window=det.get("window", 1),
-            detector_threshold=det.get("threshold"),
-            far_target=det.get("far_target", 0.02),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed plant config ({type(exc).__name__}: {exc})") from exc
+    det = data.get("detector", {})
+    return PlantModel(
+        name=data["name"],
+        A=np.array(data["A"]),
+        B=np.array(data["B"]),
+        C=np.array(data["C"]),
+        W=np.array(data["W"]),
+        V=np.array(data["V"]),
+        Q=np.array(data["Q"]),
+        R=np.array(data["R"]),
+        detector_window=det.get("window", 1),
+        detector_threshold=det.get("threshold"),
+        far_target=det.get("far_target", 0.02),
+    )
 
 
 def load_plant(path: str | Path) -> PlantModel:
-    with open(path) as fh:
-        return plant_from_dict(json.load(fh))
+    return load_json(path, "plant", plant_from_dict)

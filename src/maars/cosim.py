@@ -23,7 +23,7 @@ from .control import (
 )
 from .runtime import SelectorState, resolve_flag, run_epoch
 from .schedgen import Schedule
-from .taskmodel import ConfigError, TaskSet, TrustedTask
+from .taskmodel import ConfigError, TaskSet, TrustedTask, is_integer, is_real
 from .vulnerability import completion_slot, exposure_window
 
 DIVERGENCE_BOUND = 1e6
@@ -31,12 +31,34 @@ DIVERGENCE_BOUND = 1e6
 
 @dataclass(frozen=True)
 class AttackScenario:
+    """A compromised untrusted task that tampers with a victim's actuation
+    buffer; a field of the wrong type or out of range raises ConfigError."""
+
     compromised_task_id: int
     victim_id: int
     injection: str = "replace"  # "replace" | "bias"
     value: float = 10.0
     start_epoch: int = 0
     duration_epochs: int | None = None  # None = until the run ends
+
+    def __post_init__(self):
+        start, duration = self.start_epoch, self.duration_epochs
+        requirements = {
+            "compromised_task_id": (is_integer(self.compromised_task_id), "an integer"),
+            "victim_id": (is_integer(self.victim_id), "an integer"),
+            "injection": (self.injection in ("replace", "bias"), '"replace" or "bias"'),
+            "value": (is_real(self.value), "a finite number"),
+            "start_epoch": (is_integer(start) and start >= 0, "an integer >= 0"),
+            "duration_epochs": (
+                duration is None or (is_integer(duration) and duration >= 1),
+                "an integer >= 1 or null",
+            ),
+        }
+        for name, (ok, requirement) in requirements.items():
+            if not ok:
+                raise ConfigError(
+                    f"scenario {name} must be {requirement}, got {getattr(self, name)!r}"
+                )
 
     def active(self, epoch: int) -> bool:
         if epoch < self.start_epoch:
@@ -145,10 +167,8 @@ class ControlLoopSim:
     def tamper(self, injection: str, value: float):
         if injection == "replace":
             self.buffer = np.full_like(self.buffer, value)
-        elif injection == "bias":
+        else:  # "bias", the only other model an AttackScenario admits
             self.buffer = self.buffer + value
-        else:
-            raise ValueError(f"unknown injection model {injection!r}")
 
 
 class CoSimWorld:

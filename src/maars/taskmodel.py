@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 SCHEMA_VERSION = 1
 
@@ -25,7 +25,8 @@ DEFAULT_LCM_BOUND = 10**9
 
 
 class ConfigError(ValueError):
-    """Task-set configuration violates the schema or an invariant."""
+    """An input file or a record built from one violates the schema or an
+    invariant."""
 
 
 def is_integer(value) -> bool:
@@ -127,6 +128,8 @@ class TaskSet:
         object.__setattr__(self, "trusted", tuple(self.trusted))
         object.__setattr__(self, "untrusted", tuple(self.untrusted))
         ids = [t.id for t in self.trusted] + [u.id for u in self.untrusted]
+        if not self.trusted:
+            raise ConfigError("a task set needs at least one trusted task")
         if ids != list(range(1, len(ids) + 1)):
             raise ConfigError(
                 "priority indices must be contiguous 1..N with trusted tasks first"
@@ -274,32 +277,49 @@ def taskset_to_dict(taskset: TaskSet) -> dict:
 
 
 def taskset_from_dict(data: dict) -> TaskSet:
-    if not isinstance(data, dict):
-        raise ConfigError("taskset config is not a JSON object")
     if data.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported taskset schema version {data.get('version')}")
+    trusted = tuple(
+        TrustedTask(
+            id=t["id"],
+            period_menu=tuple(t["periods"]),
+            wcet=t["wcet"],
+            aew=t["aew"],
+            criticality=t["criticality"],
+            tap=t["tap"],
+            plant=t.get("plant"),
+        )
+        for t in data["trusted"]
+    )
+    untrusted = tuple(
+        UntrustedTask(id=u["id"], period=u["period"], wcet=u["wcet"])
+        for u in data["untrusted"]
+    )
+    return TaskSet(trusted=trusted, untrusted=untrusted, delta=data.get("delta", 1.0))
+
+
+T = TypeVar("T")
+
+
+def load_json(path: str | Path, what: str, parse: Callable[[dict], T]) -> T:
+    """``parse`` applied to the JSON object in the UTF-8 file at ``path``.
+
+    The one reader of input files: a file that cannot be read, is not UTF-8
+    or not JSON (or nests too deep to decode), holds no object, or whose
+    object ``parse`` rejects (a missing key, or a value of the wrong type or
+    out of range) raises one ConfigError that names ``what`` and the path.
+    """
     try:
-        trusted = tuple(
-            TrustedTask(
-                id=t["id"],
-                period_menu=tuple(t["periods"]),
-                wcet=t["wcet"],
-                aew=t["aew"],
-                criticality=t["criticality"],
-                tap=t["tap"],
-                plant=t.get("plant"),
-            )
-            for t in data["trusted"]
-        )
-        untrusted = tuple(
-            UntrustedTask(id=u["id"], period=u["period"], wcet=u["wcet"])
-            for u in data["untrusted"]
-        )
-        return TaskSet(trusted=trusted, untrusted=untrusted, delta=data.get("delta", 1.0))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed taskset config: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError("not a JSON object")
+        return parse(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_taskset(path: str | Path) -> TaskSet:
-    with open(path) as fh:
-        return taskset_from_dict(json.load(fh))
+    return load_json(path, "taskset", taskset_from_dict)

@@ -165,6 +165,9 @@ def to_json(doc) -> str:
     return json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400")
 
 
+DROP = object()
+DIRECTORY = object()  # the document's file replaced by a directory
+
 BAD_SCENARIO = {
     "scenario-bad-injection": {"injection": "flip"},
     "scenario-value-not-number": {"injection": "bias", "value": "x"},
@@ -189,6 +192,10 @@ BAD_TASKSET = {
     "taskset-hyper-period-over-bound": lambda d: (
         d["trusted"][0].update(periods=[99991]), d["untrusted"][0].update(period=99989)
     ),
+    "taskset-no-tasks": lambda d: d.update(trusted=[], untrusted=[]),
+    "taskset-untrusted-only": lambda d: d.update(
+        trusted=[], untrusted=[{"id": 1, "period": 4, "wcet": 1}]
+    ),
 }
 # a directory given where a file is expected
 DIRECTORY_FLAG = {
@@ -206,7 +213,55 @@ BAD_PLANT = {
     "plant-Q-negative": lambda d: d.update(Q=[[-q for q in row] for row in d["Q"]]),
     "plant-R-infinite": lambda d: d.update(R=[[float("inf")]]),
     "plant-A-nan": lambda d: d["A"][0].__setitem__(0, float("nan")),
+    # windows over the 100 000 calibration draws; never calibrate or build a
+    # detector with one (it allocates, or convolves 10^10 terms)
+    "plant-window-over-draws": lambda d: d["detector"].update(window=100_001),
+    "plant-window-huge": lambda d: d["detector"].update(window=10**30),
 }
+# an input file that is no JSON object, by kind: its bytes, DIRECTORY, or
+# None for a file that does not exist
+BAD_FILE = {
+    "not-utf8": b"\xff\xfe",
+    "not-json": b"{not json",
+    "too-deep": b"[" * 100_000,
+    "not-object": b"[1, 2]",
+    "directory": DIRECTORY,
+    "missing": None,
+}
+FILE_FLAG = {"--taskset": "taskset", "--scenario": "scenario", "--store": "store",
+             "--plants": "plant"}
+BAD_FILE_CASES = {
+    f"{name}-file-{kind}": (flag, kind) for flag, name in FILE_FLAG.items() for kind in BAD_FILE
+}
+
+
+def bad_file_path(flag: str, tmp_path) -> Path:
+    """The file of ``flag`` that ``bad_file_argv`` spoils: for ``--plants``,
+    the cc plant in a copy of the bundled plants."""
+    return tmp_path / "plants" / "cc.json" if flag == "--plants" else tmp_path / "bad.json"
+
+
+def bad_file_argv(flag: str, content, stores, tmp_path) -> list[str]:
+    """argv of a simulate run whose ``flag`` file holds ``content`` (a value
+    of BAD_FILE, or any bytes), writing to ``tmp_path / "out"``."""
+    plants = tmp_path / "plants"
+    plants.mkdir()
+    for src in data_path("plants").glob("*.json"):
+        (plants / src.name).write_bytes(src.read_bytes())
+    files = {"--taskset": str(data_path("tasksets", "automotive_lu.json")),
+             "--plants": str(plants),
+             "--store": str(stores / "analyze" / "store.json"),
+             "--scenario": str(stores / "scenario.json")}
+    bad = bad_file_path(flag, tmp_path)
+    bad.unlink(missing_ok=True)
+    if content is DIRECTORY:
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    if flag != "--plants":
+        files[flag] = str(bad)
+    return ["simulate", "--policy", "maars", "--epochs", "1", "--out", str(tmp_path / "out"),
+            *(arg for pair in files.items() for arg in pair)]
 
 
 def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
@@ -227,6 +282,9 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     if case == "foreign-store":
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--store", str(lu_store), "--out", out]
+    if case in BAD_FILE_CASES:
+        flag, kind = BAD_FILE_CASES[case]
+        return bad_file_argv(flag, BAD_FILE[kind], stores, tmp_path)
     if case in DIRECTORY_FLAG:
         files = {"--taskset": "automotive_lu", "--store": str(lu_store),
                  "--scenario": str(stores / "scenario.json"),
@@ -318,7 +376,7 @@ class TestExitCodes:
         "truncated-store",
         "untrusted-victim", "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
-        *BAD_TASKSET, *BAD_PLANT, *DIRECTORY_FLAG,
+        *BAD_TASKSET, *BAD_PLANT, *DIRECTORY_FLAG, *BAD_FILE_CASES,
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):
         assert main(bad_input_argv(case, golden_stores, tmp_path)) == EXIT_CONFIG
@@ -326,6 +384,36 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+        if case in BAD_FILE_CASES:  # the error names the file
+            assert str(bad_file_path(BAD_FILE_CASES[case][0], tmp_path)) in err
+
+    def test_out_store_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        """A write to --out that fails is a configuration error."""
+        out = tmp_path / "out"
+        (out / "store.json").mkdir(parents=True)
+        argv = ["analyze", "--taskset", "minimal", "--exhaustive", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_singular_synthesis_is_infeasible(self, argv, tmp_path, capsys):
+        """A plant whose Kalman synthesis solves a singular system (no
+        measurement and no measurement noise) rejects the period: exit 3."""
+        plants, out = tmp_path / "plants", tmp_path / "out"
+        plants.mkdir()
+        for src in data_path("plants").glob("*.json"):
+            plant = json.loads(src.read_text())
+            if plant["name"] == "cc":
+                plant.update(C=[[0.0]], V=[[0.0]])
+            (plants / src.name).write_text(json.dumps(plant))
+        argv = [*argv, "--taskset", "automotive_lu", "--plants", str(plants), "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err == "infeasible: period 10: Singular matrix\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scenario", "/nonexistent"],
@@ -366,10 +454,6 @@ class TestExitCodes:
         assert exc.value.code == EXIT_CONFIG
         flag = argv[1].split("=")[0]
         assert f"argument {flag}: " in capsys.readouterr().err
-
-
-DROP = object()
-DIRECTORY = object()  # the document's file replaced by a directory
 
 
 def value_paths(doc, path=()):
@@ -460,6 +544,21 @@ def test_mutated_store_or_scenario_exits_cleanly(minimal_documents, data):
         assert err.getvalue().count("\n") == 1
     if replacement is DIRECTORY:
         assert code == EXIT_CONFIG
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag=st.sampled_from(sorted(FILE_FLAG)), content=st.binary(max_size=64))
+def test_arbitrary_bytes_as_an_input_file_exit_2(golden_stores, flag, content):
+    """Any bytes as the task set, a plant, the scenario or the store: one
+    error line and no --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = bad_file_argv(flag, content, golden_stores, Path(tmp))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert not Path(tmp, "out").exists()
+    assert code == EXIT_CONFIG
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestPruneMenus:

@@ -144,15 +144,15 @@ class TestDetector:
 
     def test_calibration_hits_far_target(self):
         sigma = np.array([[2.0]])
-        th = calibrate_threshold(sigma, window=1, far_target=0.02, seed=0)
-        far = measure_far(sigma, window=1, threshold=th, n_steps=100_000, seed=1)
+        th = calibrate_threshold(sigma, window=1, far_target=0.02)
+        far = measure_far(sigma, window=1, threshold=th)
         assert abs(far - 0.02) <= 0.005
 
     @pytest.mark.parametrize("window", [2, 4])
     def test_windowed_calibration_hits_far_target(self, window):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        th = calibrate_threshold(sigma, window=window, far_target=0.02, seed=0)
-        far = measure_far(sigma, window=window, threshold=th, n_steps=100_000, seed=1)
+        th = calibrate_threshold(sigma, window=window, far_target=0.02)
+        far = measure_far(sigma, window=window, threshold=th)
         assert abs(far - 0.02) <= 0.005
 
     def test_singular_covariance_rejected(self):

@@ -22,6 +22,7 @@ from maars.cosim import (
 )
 from maars.runtime import make_selector
 from maars.schedgen import simulate_fixed_priority
+from maars.taskmodel import ConfigError
 from maars.vulnerability import build_store
 
 
@@ -102,8 +103,8 @@ class TestTampering:
         np.testing.assert_array_equal(sim.buffer, np.full(sim.buffer.size, 7.5))
 
     def test_unknown_injection_rejected(self, plants, lu_static_store):
-        sc = AttackScenario(5, 2, injection="melt", value=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
+            sc = AttackScenario(5, 2, injection="melt", value=1.0)
             run_scenario(plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2)
 
 

@@ -173,9 +173,11 @@ class TestIO:
         with pytest.raises(ConfigError):
             taskset_from_dict(data)
 
-    def test_malformed_config(self):
+    def test_malformed_config(self, tmp_path):
+        path = tmp_path / "ts.json"
+        path.write_text(json.dumps({"version": 1, "trusted": [{"id": 1}], "untrusted": []}))
         with pytest.raises(ConfigError):
-            taskset_from_dict({"version": 1, "trusted": [{"id": 1}], "untrusted": []})
+            load_taskset(path)
 
     def test_hash_differs_on_content(self, minimal_ts, ladder_ts):
         assert minimal_ts.content_hash() != ladder_ts.content_hash()
