@@ -17,13 +17,14 @@ takes is a usage error, exit 2):
 Exit codes: 0 success, 2 configuration error (a task-set, plant, scenario
 or store file that is missing, a directory, not UTF-8 JSON, not an object,
 or fails its checks, such as a store that belongs to another task set, a
-task set with no trusted task or a detector window over the calibration
-draws; a scenario whose roles do not match the task set, a ``--store``
-given to ``simulate --policy static``, a hyper-period over its bound, an
-exhaustive enumeration over its budget, or an ``--out`` that cannot be
-written), 3 infeasible (unschedulable task set, no stabilizable period
-menu, a period whose gain synthesis meets a singular matrix, an empty
-schedule store, or a store with no schedule to deploy first).
+task set with no trusted task or whose criticalities all round to 0, or a
+detector window over the calibration draws; a scenario whose roles do not
+match the task set, a ``--store`` given to ``simulate --policy static``, a
+hyper-period over its bound, an exhaustive enumeration over its budget, or
+an ``--out`` that cannot be written), 3 infeasible (unschedulable task
+set, no stabilizable period menu, a period whose gain synthesis meets a
+singular matrix or a singular residue covariance, an empty schedule store,
+or a store with no schedule to deploy first).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .taskmodel import (
     ConfigError,
     TaskSet,
     TaskSpec,
-    Unschedulable,
     enumerate_specs,
     is_schedulable,
     load_json,
@@ -162,14 +162,7 @@ def prune_menus(
 
 def feasible_specs(taskset: TaskSet) -> list[TaskSpec]:
     """Menu combinations whose fixed-priority schedule meets every deadline."""
-    specs = []
-    for spec in enumerate_specs(taskset):
-        try:
-            simulate_fixed_priority(taskset, spec)
-        except DeadlineMiss:
-            continue
-        specs.append(spec)
-    return specs
+    return [spec for spec in enumerate_specs(taskset) if is_schedulable(taskset, spec)]
 
 
 def write_ir_csv(store, path: Path) -> None:
@@ -241,7 +234,7 @@ def cmd_analyze(args) -> int:
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
 
-    if not is_schedulable(taskset):
+    if not is_schedulable(taskset, taskset.min_period_spec()):
         raise Infeasible("task set unschedulable at minimum periods")
 
     maars = args.command == "analyze"
@@ -439,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Infeasible, Unschedulable, DeadlineMiss, NumericsError,
-            EmptyCandidateSet) as exc:
+    except (Infeasible, DeadlineMiss, NumericsError, EmptyCandidateSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -149,12 +149,16 @@ def lqr_gain(plant: PlantModel, A_h: np.ndarray, B_h: np.ndarray) -> np.ndarray:
     return K
 
 
-def kalman_gain(plant: PlantModel, A_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steady-state Kalman gain and innovation covariance via the dual DARE."""
+def kalman_gain(plant: PlantModel, A_h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Steady-state Kalman gain, innovation covariance and its inverse via
+    the dual DARE. A covariance singular to working precision (|det| below
+    1e-300) raises LinAlgError, as a singular solve does."""
     S = _dare(A_h.T, plant.C.T, plant.W, plant.V)
     innovation = plant.C @ S @ plant.C.T + plant.V
-    L = A_h @ S @ plant.C.T @ np.linalg.inv(innovation)
-    return L, innovation
+    if abs(np.linalg.det(innovation)) < 1e-300:
+        raise np.linalg.LinAlgError("singular residue covariance")
+    innovation_inv = np.linalg.inv(innovation)
+    return A_h @ S @ plant.C.T @ innovation_inv, innovation, innovation_inv
 
 
 def augment(A_h, B_h, K_h, L_h, C) -> np.ndarray:
@@ -177,15 +181,17 @@ class DiscretizedLoop:
     K: np.ndarray
     L: np.ndarray
     closed_loop: np.ndarray  # augmented 2n x 2n matrix
+    estimator: np.ndarray  # A - L C, the estimator's state transition
     innovation_cov: np.ndarray
+    innovation_inv: np.ndarray  # what the detector normalizes residues by
 
 
 def design_loop(plant: PlantModel, period_slots: int, delta: float) -> DiscretizedLoop:
     A_h, B_h = discretize(plant, period_slots * delta)
     try:
         K = lqr_gain(plant, A_h, B_h)
-        L, innovation = kalman_gain(plant, A_h)
-    except np.linalg.LinAlgError as exc:  # a singular solve in the synthesis
+        L, innovation, innovation_inv = kalman_gain(plant, A_h)
+    except np.linalg.LinAlgError as exc:  # a singular solve or covariance
         raise PeriodRejected(f"period {period_slots}: {exc}") from exc
     return DiscretizedLoop(
         A=A_h,
@@ -193,7 +199,9 @@ def design_loop(plant: PlantModel, period_slots: int, delta: float) -> Discretiz
         K=K,
         L=L,
         closed_loop=augment(A_h, B_h, K, L, plant.C),
+        estimator=A_h - L @ plant.C,
         innovation_cov=innovation,
+        innovation_inv=innovation_inv,
     )
 
 
@@ -204,15 +212,12 @@ def design_loop(plant: PlantModel, period_slots: int, delta: float) -> Discretiz
 class Detector:
     """Windowed chi-square test on the estimator residue.
 
-    z[k] = res^T Sigma^-1 res; the alarm fires when the mean of the last N
-    values strictly exceeds the threshold.
+    z[k] = res^T Sigma^-1 res, Sigma^-1 given with each residue by its loop;
+    the alarm fires when the mean of the last N values strictly exceeds the
+    threshold.
     """
 
-    def __init__(self, sigma_res: np.ndarray, window: int, threshold: float):
-        sigma_res = np.atleast_2d(np.asarray(sigma_res, dtype=float))
-        if abs(np.linalg.det(sigma_res)) < 1e-300:
-            raise ValueError("singular residue covariance")
-        self.sigma_inv = np.linalg.inv(sigma_res)
+    def __init__(self, window: int, threshold: float):
         self.window = int(window)
         if self.window < 1:
             raise ValueError("window must be >= 1")
@@ -220,9 +225,9 @@ class Detector:
         self.buffer: deque[float] = deque(maxlen=self.window)
         self.g = 0.0
 
-    def step(self, residue: np.ndarray) -> tuple[float, bool]:
+    def step(self, residue: np.ndarray, sigma_inv: np.ndarray) -> tuple[float, bool]:
         r = np.asarray(residue, dtype=float).reshape(-1)
-        z = float(r @ self.sigma_inv @ r)
+        z = float(r @ sigma_inv @ r)
         self.buffer.append(z)
         self.g = sum(self.buffer) / len(self.buffer)
         return self.g, self.g > self.threshold

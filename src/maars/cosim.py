@@ -24,7 +24,7 @@ from .control import (
 from .runtime import SelectorState, resolve_flag, run_epoch
 from .schedgen import Schedule
 from .taskmodel import ConfigError, TaskSet, TrustedTask, is_integer, is_real
-from .vulnerability import completion_slot, exposure_window
+from .vulnerability import exposure_windows
 
 DIVERGENCE_BOUND = 1e6
 
@@ -109,22 +109,16 @@ class ControlLoopSim:
         p_in = plant.B.shape[1]
         self.u_cmd = np.zeros(p_in)  # controller's believed input
         self.buffer = np.zeros(p_in)  # actuation buffer (attackable)
-        self.period = task.min_period
-        base = self.loops[self.period]
+        self.loop = self.loops[task.min_period]  # the loop of the current period
         if plant.detector_threshold is not None:
             threshold = float(plant.detector_threshold)
         else:
             threshold = calibrate_threshold(
-                base.innovation_cov, plant.detector_window, plant.far_target
+                self.loop.innovation_cov, plant.detector_window, plant.far_target
             )
         # one detector window spans every period switch; only the residue
-        # covariance it normalizes by changes with the period
-        self.detector = Detector(base.innovation_cov, plant.detector_window, threshold)
-        self.sigma_inv = {
-            p: np.linalg.inv(loop.innovation_cov) for p, loop in self.loops.items()
-        }
-        # the estimator's state transition per period
-        self.a_lc = {p: loop.A - loop.L @ plant.C for p, loop in self.loops.items()}
+        # covariance it normalizes by (the current loop's) changes with the period
+        self.detector = Detector(plant.detector_window, threshold)
         # one SVD factor per noise covariance, for every draw of _noise
         self.w_factor = noise_factor(plant.W)
         self.v_factor = noise_factor(plant.V)
@@ -133,8 +127,7 @@ class ControlLoopSim:
         self.norm_trace: list[tuple[float, float]] = []  # (time s, ||x||)
 
     def set_period(self, period: int):
-        self.period = period
-        self.detector.sigma_inv = self.sigma_inv[period]
+        self.loop = self.loops[period]
 
     def _noise(self, factor: np.ndarray) -> np.ndarray:
         """One draw of ``rng.multivariate_normal(zeros(m), cov)`` (same RNG
@@ -147,20 +140,20 @@ class ControlLoopSim:
 
     def advance_plant(self, time_s: float):
         """Period boundary: actuate with the (possibly tampered) buffer."""
-        loop = self.loops[self.period]
+        loop = self.loop
         self.x = loop.A @ self.x + loop.B @ self.buffer + self._noise(self.w_factor)
         self.norm = float(np.linalg.norm(self.x))
         self.norm_trace.append((time_s, self.norm))
 
     def job_complete(self):
         """Sample, estimate, detect, and compute the next control input."""
-        loop = self.loops[self.period]
+        loop = self.loop
         C = self.plant.C
         y = C @ self.x + self._noise(self.v_factor)
-        _, alarm = self.detector.step(y - C @ self.xhat)
+        _, alarm = self.detector.step(y - C @ self.xhat, loop.innovation_inv)
         if alarm:
             self.alarmed = True
-        self.xhat = self.a_lc[self.period] @ self.xhat + loop.B @ self.u_cmd + loop.L @ y
+        self.xhat = loop.estimator @ self.xhat + loop.B @ self.u_cmd + loop.L @ y
         self.u_cmd = -loop.K @ self.xhat
         self.buffer = self.u_cmd.copy()
 
@@ -225,17 +218,14 @@ class CoSimWorld:
             sims.append((sim, p))
 
         # the slots where a trusted job completes, plus the AEW of each victim
-        # job (slot -> the job's completion) for the attack predicate
+        # job (slot -> the job) for the attack predicate
         completions: set[int] = set()
         aew_owner: dict[int, int] = {}
         for t in ts.trusted:
-            p = sched.spec.period_of(t.id)
-            for job in range(l // p):
-                c = completion_slot(sched.slots, t.id, t.wcet, p, job)
-                completions.add(c)
-                if self.scenario is not None and t.id == self.scenario.victim_id:
-                    for slot in exposure_window(c, t.aew, p):
-                        aew_owner[slot] = c
+            windows = exposure_windows(sched.slots, t, sched.spec.period_of(t.id))
+            completions.update(w.start - 1 for w in windows)
+            if self.scenario is not None and t.id == self.scenario.victim_id:
+                aew_owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
 
         # the victim's trace columns, formatted again only after an event
         # that can change them: the epoch start (alarmed resets), its plant

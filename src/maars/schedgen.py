@@ -53,41 +53,30 @@ def unique(schedules: Iterable[Schedule]) -> list[Schedule]:
     return list(first.values())
 
 
-def _spec_arrays(taskset: TaskSet, spec: TaskSpec) -> tuple[list[int], list[int]]:
-    wcets = [t.wcet for t in taskset.trusted] + [u.wcet for u in taskset.untrusted]
-    return list(spec.all_periods()), wcets
-
-
 def simulate_fixed_priority(taskset: TaskSet, spec: TaskSpec) -> Schedule:
-    periods, wcets = _spec_arrays(taskset, spec)
-    l = hyper_period(spec)
-    slots = kernel.simulate_fp(periods, wcets, l)
+    slots = kernel.simulate_fp(spec.all_periods(), taskset.wcets, hyper_period(spec))
     return Schedule(spec=spec, slots=tuple(slots), provenance="fixed-priority")
 
 
 def shuffle_schedule(taskset: TaskSet, spec: TaskSpec, seed: int) -> Schedule:
-    periods, wcets = _spec_arrays(taskset, spec)
-    l = hyper_period(spec)
-    slots = kernel.shuffle(periods, wcets, l, seed)
+    slots = kernel.shuffle(spec.all_periods(), taskset.wcets, hyper_period(spec), seed)
     return Schedule(spec=spec, slots=tuple(slots), provenance="randomized", seed=seed)
 
 
 def aware_shuffle_schedule(taskset: TaskSet, spec: TaskSpec, seed: int) -> Schedule:
     """Randomized schedule biased against placing untrusted executions
     inside any trusted task's open post-completion window."""
-    periods, wcets = _spec_arrays(taskset, spec)
     aews = [t.aew for t in taskset.trusted]
-    l = hyper_period(spec)
-    slots = kernel.aware_shuffle(periods, wcets, aews, len(taskset.trusted), l, seed)
+    slots = kernel.aware_shuffle(
+        spec.all_periods(), taskset.wcets, aews, len(taskset.trusted), hyper_period(spec), seed
+    )
     return Schedule(spec=spec, slots=tuple(slots), provenance="attack-aware", seed=seed)
 
 
 def enumerate_all(
     taskset: TaskSet, spec: TaskSpec, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[Schedule]:
-    periods, wcets = _spec_arrays(taskset, spec)
-    l = hyper_period(spec)
-    arrays = kernel.enumerate_all(periods, wcets, l, budget)
+    arrays = kernel.enumerate_all(spec.all_periods(), taskset.wcets, hyper_period(spec), budget)
     return [
         Schedule(spec=spec, slots=tuple(a), provenance="exhaustive") for a in arrays
     ]
@@ -134,7 +123,7 @@ def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
 
     Returns a list of violation descriptions; empty means valid.
     """
-    periods, wcets = _spec_arrays(taskset, sched.spec)
+    periods, wcets = sched.spec.all_periods(), taskset.wcets
     n = len(periods)
     l = sched.length
     errors = []

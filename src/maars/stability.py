@@ -82,14 +82,20 @@ def verify_certificate(problem: CqlfProblem, P: np.ndarray):
 
 def _unstable_product_witness(matrices, max_len=4) -> str | None:
     """Search short switching sequences for a product with spectral radius
-    > 1: such a sequence defeats any common Lyapunov function."""
+    > 1: such a sequence defeats any common Lyapunov function. The products
+    of one length share one batched eigenvalue call; the witness is the first
+    in ``itertools.product`` order."""
     n = len(matrices)
     for length in range(1, max_len + 1):
-        for combo in itertools.product(range(n), repeat=length):
+        combos = list(itertools.product(range(n), repeat=length))
+        prods = []
+        for combo in combos:
             prod = np.eye(matrices[0].shape[0])
             for i in combo:
                 prod = matrices[i] @ prod
-            rho = float(np.max(np.abs(np.linalg.eigvals(prod))))
+            prods.append(prod)
+        rhos = np.max(np.abs(np.linalg.eigvals(np.stack(prods))), axis=1)
+        for combo, rho in zip(combos, rhos):
             if rho > 1.0 + 1e-12:
                 return f"switching product {combo} has spectral radius {rho:.6f}"
     return None

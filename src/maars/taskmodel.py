@@ -46,11 +46,16 @@ def _require_ints(task_id, **fields) -> None:
             raise ConfigError(f"task {task_id}: {name} must be an integer, got {value!r}")
 
 
+def _on_grid(value: float) -> Fraction:
+    """``value`` at the 1e-6 resolution of every TAP and criticality."""
+    return Fraction(value).limit_denominator(10**6)
+
+
 class Unschedulable(Exception):
-    """A task cannot meet its deadline at the maximum execution rates."""
+    """A task cannot meet its deadline under a period assignment."""
 
     def __init__(self, task_id):
-        super().__init__(f"task {task_id} misses its deadline at minimum periods")
+        super().__init__(f"task {task_id} misses its deadline")
         self.task_id = task_id
 
 
@@ -136,6 +141,8 @@ class TaskSet:
             )
         if not (is_real(self.delta) and self.delta > 0):
             raise ConfigError("delta must be a finite positive number")
+        if not any(_on_grid(t.criticality) for t in self.trusted):
+            raise ConfigError("trusted criticalities all round to 0 at resolution 1e-6")
 
     @property
     def n_tasks(self) -> int:
@@ -150,18 +157,22 @@ class TaskSet:
         raise KeyError(task_id)
 
     @cached_property
+    def wcets(self) -> tuple[int, ...]:
+        """Every task's WCET, in priority order."""
+        return tuple(t.wcet for t in self.trusted) + tuple(u.wcet for u in self.untrusted)
+
+    @cached_property
     def tap_bounds(self) -> Mapping[int, Fraction]:
         """Each trusted task's TAP as a fraction, keyed by task id; computed
         once per task set and read-only."""
-        taps = {t.id: Fraction(t.tap).limit_denominator(10**6) for t in self.trusted}
-        return MappingProxyType(taps)
+        return MappingProxyType({t.id: _on_grid(t.tap) for t in self.trusted})
 
     @cached_property
     def criticality_levels(self) -> Mapping[int, Fraction]:
         """Criticality values normalized to sum 1, keyed by trusted task id.
         Computed once per task set and read-only, since every caller shares
         it."""
-        crit = {t.id: Fraction(t.criticality).limit_denominator(10**6) for t in self.trusted}
+        crit = {t.id: _on_grid(t.criticality) for t in self.trusted}
         total = sum(crit.values())
         return MappingProxyType({i: c / total for i, c in crit.items()})
 
@@ -201,16 +212,15 @@ class TaskSpec:
 # operations
 
 
-def wcrt(taskset: TaskSet, task_id: int) -> int:
-    """Worst-case response time of ``task_id`` in slots.
+def wcrt(taskset: TaskSet, spec: TaskSpec, task_id: int) -> int:
+    """Worst-case response time of ``task_id`` in slots under ``spec``.
 
-    Evaluated at the minimum menu period of every trusted task (the maximum
-    execution rates), via the standard fixed-point recurrence. Raises
-    Unschedulable when the fixed point exceeds the implicit deadline.
+    The fixed point of the standard recurrence over the higher-priority
+    tasks; for synchronous periodic tasks with implicit deadlines it is
+    exact (Joseph & Pandya 1986), so it decides fixed-priority feasibility.
+    Raises Unschedulable when the fixed point exceeds the implicit deadline.
     """
-    params = [
-        (t.min_period, t.wcet) for t in taskset.trusted
-    ] + [(u.period, u.wcet) for u in taskset.untrusted]
+    params = list(zip(spec.all_periods(), taskset.wcets))
     period, wcet_i = params[task_id - 1]
     hp = params[: task_id - 1]
     r = wcet_i
@@ -223,10 +233,11 @@ def wcrt(taskset: TaskSet, task_id: int) -> int:
         r = r_next
 
 
-def is_schedulable(taskset: TaskSet) -> bool:
+def is_schedulable(taskset: TaskSet, spec: TaskSpec) -> bool:
+    """Whether every task meets its deadline under ``spec`` (``wcrt``)."""
     try:
         for i in range(1, taskset.n_tasks + 1):
-            wcrt(taskset, i)
+            wcrt(taskset, spec, i)
     except Unschedulable:
         return False
     return True

@@ -188,6 +188,9 @@ BAD_TASKSET = {
     "taskset-bool-delta": lambda d: d.update(delta=True),
     "taskset-bool-criticality": lambda d: d["trusted"][0].update(criticality=True),
     "taskset-bool-tap": lambda d: d["trusted"][0].update(tap=True),
+    # both criticalities round to 0 at the 1e-6 resolution of the levels
+    "taskset-criticality-underflow": lambda d: [t.update(criticality=1e-300)
+                                                for t in d["trusted"]],
     # lcm(99991, 4, 99989) is about 4e10, over the 1e9 hyper-period bound
     "taskset-hyper-period-over-bound": lambda d: (
         d["trusted"][0].update(periods=[99991]), d["untrusted"][0].update(period=99989)
@@ -396,6 +399,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    def test_criticality_underflow_is_config_error(self, command, tmp_path, capsys):
+        """A task set whose criticalities cannot be normalized is rejected
+        when it is read, by every command that reads it."""
+        data = json.loads(data_path("tasksets", "minimal.json").read_text())
+        BAD_TASKSET["taskset-criticality-underflow"](data)
+        path, out = tmp_path / "taskset.json", tmp_path / "out"
+        path.write_text(json.dumps(data))
+        argv = [command, "--taskset", str(path), "--seeds", "2", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: taskset {path}: ") and err.count("\n") == 1
+        assert "criticalities all round to 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
     ], ids=lambda argv: argv[0])
@@ -413,6 +431,26 @@ class TestExitCodes:
         assert main(argv) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert err == "infeasible: period 10: Singular matrix\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_singular_residue_covariance_is_infeasible(self, argv, tmp_path, capsys):
+        """A plant with no measurement and measurement noise below working
+        precision has a singular residue covariance: the period is rejected
+        where its loop is designed, exit 3."""
+        plants, out = tmp_path / "plants", tmp_path / "out"
+        plants.mkdir()
+        for src in data_path("plants").glob("*.json"):
+            plant = json.loads(src.read_text())
+            if plant["name"] == "cc":
+                plant.update(C=[[0.0]], V=[[1e-301]])
+            (plants / src.name).write_text(json.dumps(plant))
+        argv = [*argv, "--taskset", "automotive_lu", "--plants", str(plants), "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err == "infeasible: period 10: singular residue covariance\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

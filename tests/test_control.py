@@ -100,10 +100,24 @@ class TestGains:
     def test_kalman_stabilizes_estimator(self, plants):
         for plant in plants.values():
             A_h, _ = discretize(plant, 0.01)
-            L, innovation = kalman_gain(plant, A_h)
+            L, innovation, _ = kalman_gain(plant, A_h)
             rho = np.max(np.abs(np.linalg.eigvals(A_h - L @ plant.C)))
             assert rho < 1.0
             assert np.all(np.linalg.eigvalsh(innovation) > 0)
+
+    def test_loop_record_holds_estimator_and_inverse(self, plants, lu_ts, hu_ts):
+        """For every bundled plant and menu period, the loop record's
+        estimator and inverse innovation covariance are, bit for bit,
+        A - L C and the inverse of its innovation covariance."""
+        for ts in (lu_ts, hu_ts):
+            for t in ts.trusted:
+                plant = plants[t.plant]
+                for p in t.period_menu:
+                    loop = design_loop(plant, p, ts.delta)
+                    assert np.array_equal(loop.estimator, loop.A - loop.L @ plant.C)
+                    assert np.array_equal(
+                        loop.innovation_inv, np.linalg.inv(loop.innovation_cov)
+                    )
 
     def test_zero_input_rejected(self):
         plant = double_integrator()
@@ -130,16 +144,16 @@ class TestGains:
 
 class TestDetector:
     def test_strict_threshold(self):
-        det = Detector(np.array([[1.0]]), window=1, threshold=4.0)
-        g, alarm = det.step(np.array([2.0]))
+        det = Detector(window=1, threshold=4.0)
+        g, alarm = det.step(np.array([2.0]), np.array([[1.0]]))
         assert g == 4.0 and not alarm  # strictly-greater comparison
-        g, alarm = det.step(np.array([2.1]))
+        g, alarm = det.step(np.array([2.1]), np.array([[1.0]]))
         assert alarm
 
     def test_windowed_mean(self):
-        det = Detector(np.array([[1.0]]), window=2, threshold=100.0)
-        det.step(np.array([2.0]))
-        g, _ = det.step(np.array([4.0]))
+        det = Detector(window=2, threshold=100.0)
+        det.step(np.array([2.0]), np.array([[1.0]]))
+        g, _ = det.step(np.array([4.0]), np.array([[1.0]]))
         assert g == pytest.approx((4.0 + 16.0) / 2)
 
     def test_calibration_hits_far_target(self):
@@ -156,8 +170,14 @@ class TestDetector:
         assert abs(far - 0.02) <= 0.005
 
     def test_singular_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            Detector(np.zeros((2, 2)), window=1, threshold=1.0)
+        """A residue covariance singular to working precision (no measurement,
+        near-zero measurement noise) rejects the period where it is built."""
+        plant = PlantModel(
+            name="blind", A=[[-1.0]], B=[[1.0]], C=[[0.0]],
+            W=[[1e-4]], V=[[1e-301]], Q=[[1.0]], R=[[1.0]],
+        )
+        with pytest.raises(PeriodRejected, match="period 3: singular residue covariance"):
+            design_loop(plant, 3, 0.1)
 
 
 class TestPlantIO:

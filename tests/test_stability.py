@@ -1,5 +1,6 @@
 """Switched-stability certification: CQLF search, verification, pruning."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +13,26 @@ from maars.stability import (
     CqlfCertificate,
     CqlfProblem,
     Infeasible,
+    _unstable_product_witness,
     decay_alpha,
     find_cqlf,
     prune_performance,
     verify_certificate,
 )
+
+
+def reference_witness(matrices, max_len=4):
+    """The unstable-product search one product at a time: the first product,
+    in ``itertools.product`` order, with spectral radius above 1 + 1e-12."""
+    for length in range(1, max_len + 1):
+        for combo in itertools.product(range(len(matrices)), repeat=length):
+            prod = np.eye(matrices[0].shape[0])
+            for i in combo:
+                prod = matrices[i] @ prod
+            rho = float(np.max(np.abs(np.linalg.eigvals(prod))))
+            if rho > 1.0 + 1e-12:
+                return f"switching product {combo} has spectral radius {rho:.6f}"
+    return None
 
 
 def rotation_pair(scale=0.9):
@@ -92,6 +108,31 @@ class TestFindCqlf:
         assert isinstance(result, Infeasible)
         assert result.certified
         assert "product" in result.reason
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), dim=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_witness_matches_per_product_search(self, seed, n, dim):
+        """One eigenvalue call per product length finds the witness, and
+        prints its spectral radius, as one call per product does."""
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(n):
+            a = rng.standard_normal((dim, dim))
+            # spectral radii around 1, so witnesses of every length occur
+            mats.append(a * rng.uniform(0.6, 1.1) / max(np.abs(np.linalg.eigvals(a))))
+        assert _unstable_product_witness(mats) == reference_witness(mats)
+
+    def test_batched_witness_on_bundled_menus(self, plants, lu_ts, hu_ts):
+        for ts in (lu_ts, hu_ts):
+            for t in ts.trusted:
+                mats = [
+                    design_loop(plants[t.plant], p, ts.delta).closed_loop
+                    for p in t.period_menu
+                ]
+                assert _unstable_product_witness(mats) == reference_witness(mats)
+        nilpotent = [np.array([[0.0, 2.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [2.0, 0.0]])]
+        assert _unstable_product_witness(nilpotent) == reference_witness(nilpotent)
+        assert _unstable_product_witness(nilpotent) is not None
 
     def test_lyapunov_decrease_along_random_switching(self):
         problem = CqlfProblem(matrices=rotation_pair(0.85), alphas=(-0.05, -0.05))

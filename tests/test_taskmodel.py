@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maars.kernel import DeadlineMiss
+from maars.schedgen import simulate_fixed_priority
 from maars.taskmodel import (
     ConfigError,
     TaskSet,
@@ -75,7 +77,7 @@ class TestValidation:
 class TestWcrt:
     def test_single_task(self):
         ts = TaskSet(trusted=(make_trusted(wcet=1),), untrusted=())
-        assert wcrt(ts, 1) == 1
+        assert wcrt(ts, ts.min_period_spec(), 1) == 1
 
     def test_textbook_three_task_set(self):
         # p/e = (4,1), (6,2), (12,3): R1=1, R2=3, R3=4+ceil... fixed points
@@ -87,11 +89,11 @@ class TestWcrt:
             ),
             untrusted=(),
         )
-        assert wcrt(ts, 1) == 1
-        assert wcrt(ts, 2) == 3
+        assert wcrt(ts, ts.min_period_spec(), 1) == 1
+        assert wcrt(ts, ts.min_period_spec(), 2) == 3
         # R3: 3 + ceil(R/4)*1 + ceil(R/6)*2 -> 3+1+2=6 -> 3+2+2=7 -> 3+2+4=9
         # -> 3+3+4=10 -> 3+3+4=10 fixed
-        assert wcrt(ts, 3) == 10
+        assert wcrt(ts, ts.min_period_spec(), 3) == 10
 
     def test_unschedulable_raises(self):
         ts = TaskSet(
@@ -102,13 +104,13 @@ class TestWcrt:
             untrusted=(),
         )
         with pytest.raises(Unschedulable) as exc:
-            wcrt(ts, 2)
+            wcrt(ts, ts.min_period_spec(), 2)
         assert exc.value.task_id == 2
-        assert not is_schedulable(ts)
+        assert not is_schedulable(ts, ts.min_period_spec())
 
     def test_bundled_sets_schedulable(self, minimal_ts, ladder_ts, lu_ts, hu_ts):
         for ts in (minimal_ts, ladder_ts, lu_ts, hu_ts):
-            assert is_schedulable(ts)
+            assert is_schedulable(ts, ts.min_period_spec())
 
     @given(
         extra=st.integers(min_value=1, max_value=3),
@@ -130,10 +132,42 @@ class TestWcrt:
             untrusted=(),
         )
         try:
-            r_more = wcrt(more, 2)
+            r_more = wcrt(more, more.min_period_spec(), 2)
         except Unschedulable:
             return  # increased interference may break schedulability
-        assert r_more >= wcrt(base, 2)
+        assert r_more >= wcrt(base, base.min_period_spec(), 2)
+
+    @given(
+        tasks=st.lists(
+            st.integers(2, 12).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+            min_size=1, max_size=5,
+        ),
+        n_trusted=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_fixed_priority_simulation(self, tasks, n_trusted):
+        """The response-time test is exact for synchronous periodic tasks with
+        implicit deadlines: it passes a spec exactly when the simulated
+        fixed-priority schedule misses no deadline."""
+        q = min(n_trusted, len(tasks))
+        ts = TaskSet(
+            trusted=tuple(
+                make_trusted(tid=i, menu=(p,), wcet=e, aew=0)
+                for i, (p, e) in enumerate(tasks[:q], start=1)
+            ),
+            untrusted=tuple(
+                UntrustedTask(id=i, period=p, wcet=e)
+                for i, (p, e) in enumerate(tasks[q:], start=q + 1)
+            ),
+        )
+        spec = ts.min_period_spec()
+        try:
+            simulate_fixed_priority(ts, spec)
+        except DeadlineMiss:
+            simulated = False
+        else:
+            simulated = True
+        assert is_schedulable(ts, spec) == simulated
 
 
 class TestSpecs:
