@@ -20,7 +20,8 @@ or fails its checks, such as a store that belongs to another task set, a
 task set with no trusted task or whose criticalities all round to 0, or a
 detector window over the calibration draws; a scenario whose roles do not
 match the task set, a ``--store`` given to ``simulate --policy static``, a
-hyper-period over its bound, an exhaustive enumeration over its budget, or
+hyper-period over its bound, an exhaustive enumeration over its budget, a
+``--gamma`` whose per-step decay factor at some period rounds to 0 or 1, or
 an ``--out`` that cannot be written), 3 infeasible (unschedulable task
 set, no stabilizable period menu, a period whose gain synthesis meets a
 singular matrix or a singular residue covariance, an empty schedule store,
@@ -66,7 +67,6 @@ from .vulnerability import (
     harden_schedule,
     load_store,
     save_store,
-    store_memory_cost,
     svt,
 )
 
@@ -79,6 +79,13 @@ EXIT_INFEASIBLE = 3
 
 class Infeasible(Exception):
     """Pipeline cannot proceed: unschedulable, unstable, or empty results."""
+
+
+def require_schedulable(taskset: TaskSet) -> None:
+    """Infeasible unless ``taskset`` is fixed-priority schedulable at its
+    minimum periods, the assignment every command can fall back to."""
+    if not is_schedulable(taskset, taskset.min_period_spec()):
+        raise Infeasible("task set unschedulable at minimum periods")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ def write_summary(
     n_specs: int,
     label: str,
 ) -> None:
-    below = sum(1 for r in store.reports if r.svi < store.svt)
+    below = store.k_threshold  # the store is in SVI order
     lines = [
         f"maars {__version__} ({BACKEND} kernel) — {label}",
         f"taskset hash: {taskset.content_hash()}",
@@ -207,11 +214,13 @@ def write_summary(
             f"task {t.id}: avg AP {sum(aps) / len(aps):.4f}, "
             f"max AP {max(aps):.4f}, TAP {t.tap}"
         )
-    cost = store_memory_cost(store, serialized_bytes)
+    # one byte per element: a LUT entry per trusted task and schedule, and
+    # every slot of every schedule
+    lut = len(taskset.trusted) * len(store.schedules)
+    slots = sum(s.length for s in store.schedules)
     lines.append(
-        f"memory model: {cost['model_bytes']} B "
-        f"({cost['lut_elements']} LUT + {cost['slot_elements']} slot elements), "
-        f"serialized {cost['serialized_bytes']} B"
+        f"memory model: {lut + slots} B ({lut} LUT + {slots} slot elements), "
+        f"serialized {serialized_bytes} B"
     )
     if provenance is not None:
         for tid, rec in provenance.items():
@@ -234,8 +243,7 @@ def cmd_analyze(args) -> int:
     plants = resolve_plants(taskset, args.plants)
     out = Path(args.out)
 
-    if not is_schedulable(taskset, taskset.min_period_spec()):
-        raise Infeasible("task set unschedulable at minimum periods")
+    require_schedulable(taskset)
 
     maars = args.command == "analyze"
     if maars:
@@ -281,6 +289,7 @@ def cmd_analyze(args) -> int:
 def _static_store(taskset: TaskSet) -> ScheduleStore:
     """The static policy as a store: the fixed-priority schedule at minimum
     periods, deployable in normal mode (K = 1) and in every alert mode."""
+    require_schedulable(taskset)
     sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
     return ScheduleStore(
         taskset=taskset,
@@ -333,18 +342,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed_base,
         "epochs": args.epochs,
         "scenario": asdict(scenario) if scenario is not None else None,
-        "settling_time": metrics.settling_time,
-        "decay_rate": metrics.decay_rate,
-        "alarm_epochs": metrics.alarm_epochs,
-        "diverged": metrics.diverged,
-        "victim_hits": metrics.victim_hits,
-        "victim_jobs": metrics.victim_jobs,
-        "attack_success_rate": float(metrics.attack_success_rate),
-        "mean_deployed_ap": (
-            sum(metrics.deployed_ap) / len(metrics.deployed_ap)
-            if metrics.deployed_ap
-            else 0.0
-        ),
+        **metrics,
     }
     (out / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

@@ -233,26 +233,29 @@ class Detector:
         return self.g, self.g > self.threshold
 
 
-def _nominal_statistic(sigma_res: np.ndarray, window: int, seed: int) -> np.ndarray:
+def _nominal_statistic(sigma_res, sigma_inv, window: int, seed: int) -> np.ndarray:
     """The windowed statistic over CALIBRATION_DRAWS nominal Gaussian
-    residues drawn with ``seed``."""
-    sigma_res = np.atleast_2d(np.asarray(sigma_res, dtype=float))
-    m = sigma_res.shape[0]
+    residues of covariance ``sigma_res`` drawn with ``seed``, normalized by
+    ``sigma_inv``."""
     rng = np.random.default_rng(seed)
-    res = rng.multivariate_normal(np.zeros(m), sigma_res, size=CALIBRATION_DRAWS)
-    z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
+    res = rng.multivariate_normal(np.zeros(len(sigma_res)), sigma_res, size=CALIBRATION_DRAWS)
+    z = np.einsum("ij,jk,ik->i", res, sigma_inv, res)
     return np.convolve(z, np.ones(window) / window, mode="valid")
 
 
-def calibrate_threshold(sigma_res: np.ndarray, window: int, far_target: float) -> float:
+def calibrate_threshold(loop: DiscretizedLoop, window: int, far_target: float) -> float:
     """Monte-Carlo threshold for a desired false-alarm rate under nominal
-    Gaussian residues: the (1 - far) quantile of the windowed statistic."""
-    return float(np.quantile(_nominal_statistic(sigma_res, window, seed=0), 1.0 - far_target))
+    Gaussian residues of ``loop``: the (1 - far) quantile of the windowed
+    statistic."""
+    statistic = _nominal_statistic(loop.innovation_cov, loop.innovation_inv, window, seed=0)
+    return float(np.quantile(statistic, 1.0 - far_target))
 
 
 def measure_far(sigma_res: np.ndarray, window: int, threshold: float) -> float:
-    """Empirical false-alarm rate of the windowed detector on fresh noise."""
-    return float(np.mean(_nominal_statistic(sigma_res, window, seed=1) > threshold))
+    """Empirical false-alarm rate of the windowed detector on fresh noise,
+    inverting ``sigma_res`` itself."""
+    statistic = _nominal_statistic(sigma_res, np.linalg.inv(sigma_res), window, seed=1)
+    return float(np.mean(statistic > threshold))
 
 
 # ---------------------------------------------------------------------------

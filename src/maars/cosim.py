@@ -13,7 +13,6 @@ later, matching the discrete closed-loop model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -68,23 +67,6 @@ class AttackScenario:
         return epoch < self.start_epoch + self.duration_epochs
 
 
-@dataclass
-class RunMetrics:
-    settling_time: float | None
-    decay_rate: float | None
-    alarm_epochs: list[int]
-    deployed_ap: list[float]  # per-epoch AP of the deployed schedule (victim)
-    diverged: bool
-    victim_hits: int
-    victim_jobs: int
-
-    @property
-    def attack_success_rate(self) -> Fraction:
-        if self.victim_jobs == 0:
-            return Fraction(0)
-        return Fraction(self.victim_hits, self.victim_jobs)
-
-
 class ControlLoopSim:
     """Runtime state of one trusted control loop across period switches."""
 
@@ -114,7 +96,7 @@ class ControlLoopSim:
             threshold = float(plant.detector_threshold)
         else:
             threshold = calibrate_threshold(
-                self.loop.innovation_cov, plant.detector_window, plant.far_target
+                self.loop, plant.detector_window, plant.far_target
             )
         # one detector window spans every period switch; only the residue
         # covariance it normalizes by (the current loop's) changes with the period
@@ -323,10 +305,13 @@ def run_scenario(
     noise_scale: float = 1.0,
     settle_band: float = 0.1,
     divergence_bound: float = DIVERGENCE_BOUND,
-) -> tuple[RunMetrics, CoSimWorld]:
+) -> tuple[dict, CoSimWorld]:
     """Drive ``epochs`` hyper-periods of the task set of ``selector.store``,
     deploying each epoch the schedule the selector draws from its store
     (``runtime.run_epoch``). Deterministic for a fixed seed.
+
+    Returns the run's metrics, in their ``metrics.json`` order, and the
+    world; the settling time, decay rate and AP are the victim's.
     """
     world = CoSimWorld(
         selector.store.taskset, plants, scenario, seed,
@@ -338,19 +323,21 @@ def run_scenario(
     settle, rate = None, None
     if victim_id is not None and victim_id in world.loops:
         settle, rate = _fit_metrics(world.loops[victim_id].norm_trace, settle_band)
-    metrics = RunMetrics(
-        settling_time=settle,
-        decay_rate=rate,
-        alarm_epochs=[e.epoch for e in deployments if e.flag],
-        deployed_ap=[
-            0.0 if victim_id is None else float(selector.store.ap_of(e.index, victim_id))
-            for e in deployments
-        ],
-        diverged=world.diverged,
-        victim_hits=world.victim_hits,
-        victim_jobs=world.victim_jobs,
-    )
-    return metrics, world
+    deployed_ap = [
+        0.0 if victim_id is None else float(selector.store.ap_of(e.index, victim_id))
+        for e in deployments
+    ]
+    hits, jobs = world.victim_hits, world.victim_jobs
+    return {
+        "settling_time": settle,
+        "decay_rate": rate,
+        "alarm_epochs": [e.epoch for e in deployments if e.flag],
+        "diverged": world.diverged,
+        "victim_hits": hits,
+        "victim_jobs": jobs,
+        "attack_success_rate": hits / jobs if jobs else 0.0,
+        "mean_deployed_ap": sum(deployed_ap) / len(deployed_ap) if deployed_ap else 0.0,
+    }, world
 
 
 def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:

@@ -11,71 +11,43 @@ Lyapunov inequality.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .taskmodel import ConfigError
+
+log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-8
 PD_MARGIN = 1e-6
 DEFAULT_SWEEPS = 20_000
 
 
-@dataclass(frozen=True)
-class CqlfProblem:
-    """Subsystem matrices with per-subsystem decay parameters alpha in (-1, 0):
-    require A_j' P A_j - (1 + alpha_j) P <= 0 for a single P > 0."""
-
-    matrices: tuple[np.ndarray, ...]
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.matrices) != len(self.alphas):
-            raise ValueError("one alpha per subsystem required")
-        dim = self.matrices[0].shape[0]
-        for m in self.matrices:
-            if m.shape != (dim, dim):
-                raise ValueError("all subsystem matrices must share one dimension")
-        for a in self.alphas:
-            if not -1.0 < a < 0.0:
-                raise ValueError(f"alpha {a} outside (-1, 0)")
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-
-@dataclass(frozen=True)
-class CqlfCertificate:
-    P: np.ndarray
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """No certificate found. ``certified`` is True when a witness proves no
-    CQLF can exist (an unstable subsystem or unstable switching product);
-    False means the iteration budget ran out with feasibility undecided."""
-
-    certified: bool
-    reason: str
-
-
 def decay_alpha(gamma: float, h: float) -> float:
-    """Per-step decay parameter from a continuous-time rate gamma < 0 sampled
-    at period h: V shrinks by e^{2 gamma h} per step."""
-    if gamma >= 0:
-        raise ValueError("target decay rate must be negative")
-    return math.exp(2.0 * gamma * h) - 1.0
+    """Per-step decay parameter alpha in (-1, 0) from a continuous-time rate
+    gamma < 0 sampled at period h seconds: V shrinks by e^{2 gamma h} per
+    step. ConfigError when that factor is not in (0, 1), as when it rounds
+    to 0 or 1."""
+    alpha = math.exp(2.0 * gamma * h) - 1.0
+    if not -1.0 < alpha < 0.0:
+        raise ConfigError(
+            f"gamma {gamma} at period {h:g} s gives per-step decay factor"
+            f" {alpha + 1.0!r}, outside (0, 1)"
+        )
+    return alpha
 
 
-def verify_certificate(problem: CqlfProblem, P: np.ndarray):
-    """Independent eigenvalue re-check of both LMI families."""
+def verify_certificate(matrices, alphas, P: np.ndarray):
+    """Independent eigenvalue re-check of both LMI families
+    A_j' P A_j - (1 + alpha_j) P <= 0 and P > 0."""
     P = (P + P.T) / 2
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     residual = max(
         float(np.max(np.linalg.eigvalsh(A.T @ P @ A - (1.0 + a) * P)))
-        for A, a in zip(problem.matrices, problem.alphas)
+        for A, a in zip(matrices, alphas)
     )
     return min_eig, residual
 
@@ -101,37 +73,38 @@ def _unstable_product_witness(matrices, max_len=4) -> str | None:
     return None
 
 
-def find_cqlf(
-    problem: CqlfProblem, max_sweeps: int = DEFAULT_SWEEPS
-) -> CqlfCertificate | Infeasible:
-    """Alternating-projection search for a common Lyapunov matrix.
+def find_cqlf(matrices, alphas, max_sweeps: int = DEFAULT_SWEEPS) -> np.ndarray | None:
+    """A common Lyapunov matrix P > 0 with A_j' P A_j - (1 + alpha_j) P <= 0
+    for every subsystem matrix A_j and its alpha_j in (-1, 0), or None.
 
-    Each sweep: for every subsystem, cut along the half-space violated by
-    the top eigenvector of its Lyapunov inequality; then clip P back onto
-    the PD cone and renormalize trace(P) = dim. Subsystem instability or an
-    unstable short switching product, both checked before any sweep, yields
-    a certified Infeasible.
+    Alternating projections: each sweep cuts, for every subsystem, along the
+    half-space violated by the top eigenvector of its Lyapunov inequality;
+    then clips P back onto the PD cone and renormalizes trace(P) = dim. An
+    unstable subsystem or an unstable short switching product, both checked
+    before any sweep, is a witness that no P exists. Why the answer is None
+    (the witness, or sweeps exhausted) is logged at DEBUG.
     """
-    d = problem.dim
-    for idx, A in enumerate(problem.matrices):
+    d = matrices[0].shape[0]
+    if len(alphas) != len(matrices) or any(A.shape != (d, d) for A in matrices):
+        raise ValueError("one alpha per subsystem, and one square dimension for all")
+    for idx, A in enumerate(matrices):
         rho = float(np.max(np.abs(np.linalg.eigvals(A))))
         if rho >= 1.0:
-            return Infeasible(
-                certified=True,
-                reason=f"subsystem {idx} is not Schur stable (rho={rho:.6f})",
-            )
+            log.debug("no CQLF: subsystem %d is not Schur stable (rho=%.6f)", idx, rho)
+            return None
     # an unstable switching product rules out every common Lyapunov
     # function, so no sweep can succeed where the witness exists
-    witness = _unstable_product_witness(problem.matrices)
+    witness = _unstable_product_witness(matrices)
     if witness is not None:
-        return Infeasible(certified=True, reason=witness)
+        log.debug("no CQLF: %s", witness)
+        return None
 
     # Warm start: sum of the per-subsystem Lyapunov solutions of
     # (A/sqrt(1+alpha))' P (A/sqrt(1+alpha)) - P = -I. Each term solves its
     # own inequality exactly, so the sum is usually close to a common P and
     # far better conditioned than the identity for stiff loops.
     P = np.zeros((d, d))
-    for A, a in zip(problem.matrices, problem.alphas):
+    for A, a in zip(matrices, alphas):
         scaled = A / math.sqrt(1.0 + a)
         if float(np.max(np.abs(np.linalg.eigvals(scaled)))) >= 1.0:
             continue
@@ -142,7 +115,7 @@ def find_cqlf(
     P *= d / np.trace(P)
     for _ in range(max_sweeps):
         worst = 0.0
-        for A, a in zip(problem.matrices, problem.alphas):
+        for A, a in zip(matrices, alphas):
             M = A.T @ P @ A - (1.0 + a) * P
             M = (M + M.T) / 2
             eigvals, eigvecs = np.linalg.eigh(M)
@@ -166,11 +139,12 @@ def find_cqlf(
         P = (eigvecs * eigvals) @ eigvecs.T
         P *= d / np.trace(P)
         if worst == 0.0:
-            min_eig, residual = verify_certificate(problem, P)
+            min_eig, residual = verify_certificate(matrices, alphas, P)
             if min_eig > FEAS_TOL and residual <= FEAS_TOL:
-                return CqlfCertificate(P=P)
+                return P
 
-    return Infeasible(certified=False, reason="iteration budget exhausted")
+    log.debug("no CQLF: %d sweeps exhausted, feasibility undecided", max_sweeps)
+    return None
 
 
 def prune_performance(build_matrix, candidate_periods: list[int], alpha_of) -> list[int]:
@@ -180,7 +154,7 @@ def prune_performance(build_matrix, candidate_periods: list[int], alpha_of) -> l
     ``build_matrix(period)`` returns the augmented closed-loop matrix;
     ``alpha_of(period)`` its decay parameter. Greedy: when the full set is
     infeasible, drop the non-minimum period whose removal leaves the lowest
-    residual violation, and retry.
+    residual violation, and retry. Each drop is logged at DEBUG.
     """
     periods = sorted(candidate_periods)
     base = periods[0]
@@ -192,13 +166,13 @@ def prune_performance(build_matrix, candidate_periods: list[int], alpha_of) -> l
     ]
     if base not in current:
         return []
+    alphas = {p: alpha_of(p) for p in current}
+
+    def loops(kept):
+        return [mats[p] for p in kept], [alphas[p] for p in kept]
 
     while True:
-        problem = CqlfProblem(
-            matrices=tuple(mats[p] for p in current),
-            alphas=tuple(alpha_of(p) for p in current),
-        )
-        if isinstance(find_cqlf(problem), CqlfCertificate):
+        if find_cqlf(*loops(current)) is not None:
             return current
         if len(current) == 1:
             return []
@@ -207,17 +181,16 @@ def prune_performance(build_matrix, candidate_periods: list[int], alpha_of) -> l
         for p in current:
             if p == base:
                 continue
-            rest = [q for q in current if q != p]
-            sub = CqlfProblem(
-                matrices=tuple(mats[q] for q in rest),
-                alphas=tuple(alpha_of(q) for q in rest),
-            )
-            probe = find_cqlf(sub, max_sweeps=DEFAULT_SWEEPS // 20)
-            if isinstance(probe, CqlfCertificate):
+            rest = loops([q for q in current if q != p])
+            if find_cqlf(*rest, max_sweeps=DEFAULT_SWEEPS // 20) is not None:
                 score = -1.0  # immediately feasible
             else:
-                _, residual = verify_certificate(sub, np.eye(problem.dim))
-                score = residual
+                _, score = verify_certificate(*rest, np.eye(mats[base].shape[0]))
             if best_score is None or score < best_score:
                 best_drop, best_score = p, score
+        log.debug(
+            "dropping period %d from %s: %s", best_drop, list(current),
+            "the rest is certified" if best_score < 0
+            else f"residual {best_score:.6g} without it, the lowest",
+        )
         current.remove(best_drop)

@@ -51,14 +51,6 @@ def _on_grid(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**6)
 
 
-class Unschedulable(Exception):
-    """A task cannot meet its deadline under a period assignment."""
-
-    def __init__(self, task_id):
-        super().__init__(f"task {task_id} misses its deadline")
-        self.task_id = task_id
-
-
 @dataclass(frozen=True)
 class TrustedTask:
     """Safety-critical control task with a menu of candidate periods.
@@ -212,13 +204,13 @@ class TaskSpec:
 # operations
 
 
-def wcrt(taskset: TaskSet, spec: TaskSpec, task_id: int) -> int:
-    """Worst-case response time of ``task_id`` in slots under ``spec``.
+def wcrt(taskset: TaskSet, spec: TaskSpec, task_id: int) -> int | None:
+    """Worst-case response time of ``task_id`` in slots under ``spec``, or
+    None once it exceeds the implicit deadline.
 
     The fixed point of the standard recurrence over the higher-priority
     tasks; for synchronous periodic tasks with implicit deadlines it is
     exact (Joseph & Pandya 1986), so it decides fixed-priority feasibility.
-    Raises Unschedulable when the fixed point exceeds the implicit deadline.
     """
     params = list(zip(spec.all_periods(), taskset.wcets))
     period, wcet_i = params[task_id - 1]
@@ -227,7 +219,7 @@ def wcrt(taskset: TaskSet, spec: TaskSpec, task_id: int) -> int:
     while True:
         r_next = wcet_i + sum(math.ceil(r / p_j) * e_j for p_j, e_j in hp)
         if r_next > period:
-            raise Unschedulable(task_id)
+            return None
         if r_next == r:
             return r
         r = r_next
@@ -235,12 +227,7 @@ def wcrt(taskset: TaskSet, spec: TaskSpec, task_id: int) -> int:
 
 def is_schedulable(taskset: TaskSet, spec: TaskSpec) -> bool:
     """Whether every task meets its deadline under ``spec`` (``wcrt``)."""
-    try:
-        for i in range(1, taskset.n_tasks + 1):
-            wcrt(taskset, spec, i)
-    except Unschedulable:
-        return False
-    return True
+    return all(wcrt(taskset, spec, i) is not None for i in range(1, taskset.n_tasks + 1))
 
 
 def hyper_period(spec: TaskSpec, lcm_bound: int = DEFAULT_LCM_BOUND) -> int:

@@ -200,6 +200,9 @@ BAD_TASKSET = {
         trusted=[], untrusted=[{"id": 1, "period": 4, "wcet": 1}]
     ),
 }
+# finite negative rates whose per-step decay factor e^(2 gamma h) rounds to 0
+# or to 1 at a period of automotive_lu
+BAD_GAMMA = {"gamma-factor-rounds-to-0": "-1000", "gamma-factor-rounds-to-1": "-5e-324"}
 # a directory given where a file is expected
 DIRECTORY_FLAG = {
     "taskset-directory": "--taskset",
@@ -279,6 +282,9 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
         return ["simulate", "--taskset", "minimal", "--policy", "static",
                 "--store", "/nonexistent/store.json", "--epochs", "1",
                 "--out", out]
+    if case in BAD_GAMMA:
+        return ["analyze", "--taskset", "automotive_lu", f"--gamma={BAD_GAMMA[case]}",
+                "--out", out]
     if case == "missing-store":  # no --store: looked for in --out
         return ["simulate", "--taskset", "minimal", "--policy", "maars",
                 "--epochs", "1", "--out", out]
@@ -354,14 +360,19 @@ class TestExitCodes:
         assert main(["analyze", "--taskset", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_unschedulable_is_infeasible(self, tmp_path, minimal_ts):
+    def test_unschedulable_is_infeasible(self, tmp_path, minimal_ts, capsys):
         data = taskset_to_dict(minimal_ts)
         # saturate the untrusted task so the set cannot meet deadlines
         data["untrusted"][0] = {"id": 3, "period": 4, "wcet": 3}
         path, out = tmp_path / "overload.json", tmp_path / "out"
         path.write_text(json.dumps(data))
-        for command in ("analyze", "baseline"):
-            assert main([command, "--taskset", str(path), "--out", str(out)]) == EXIT_INFEASIBLE
+        for command in (["analyze"], ["baseline"],
+                        ["simulate", "--policy", "static", "--epochs", "1"]):
+            argv = [*command, "--taskset", str(path), "--out", str(out)]
+            assert main(argv) == EXIT_INFEASIBLE
+            assert capsys.readouterr().err == (
+                "infeasible: task set unschedulable at minimum periods\n"
+            )
             assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -379,6 +390,7 @@ class TestExitCodes:
         "truncated-store",
         "untrusted-victim", "trusted-attacker",
         "scenario-not-object", *CORRUPT_STORE, *BAD_SCENARIO, "taskset-not-object",
+        *BAD_GAMMA,
         *BAD_TASKSET, *BAD_PLANT, *DIRECTORY_FLAG, *BAD_FILE_CASES,
     ])
     def test_bad_input_is_config_error(self, case, golden_stores, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Control synthesis: ZOH discretization, DARE, gains, detector calibration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,11 @@ class TestGains:
         np.testing.assert_allclose(M, [[0.5, -0.2], [0.3, 0.0]])
 
 
+def loop_of(sigma: np.ndarray) -> SimpleNamespace:
+    """The two fields of a loop record that detector calibration reads."""
+    return SimpleNamespace(innovation_cov=sigma, innovation_inv=np.linalg.inv(sigma))
+
+
 class TestDetector:
     def test_strict_threshold(self):
         det = Detector(window=1, threshold=4.0)
@@ -158,14 +165,14 @@ class TestDetector:
 
     def test_calibration_hits_far_target(self):
         sigma = np.array([[2.0]])
-        th = calibrate_threshold(sigma, window=1, far_target=0.02)
+        th = calibrate_threshold(loop_of(sigma), window=1, far_target=0.02)
         far = measure_far(sigma, window=1, threshold=th)
         assert abs(far - 0.02) <= 0.005
 
     @pytest.mark.parametrize("window", [2, 4])
     def test_windowed_calibration_hits_far_target(self, window):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        th = calibrate_threshold(sigma, window=window, far_target=0.02)
+        th = calibrate_threshold(loop_of(sigma), window=window, far_target=0.02)
         far = measure_far(sigma, window=window, threshold=th)
         assert abs(far - 0.02) <= 0.005
 

@@ -1,6 +1,7 @@
 """Switched-stability certification: CQLF search, verification, pruning."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -10,15 +11,13 @@ from hypothesis import strategies as st
 
 from maars.control import design_loop
 from maars.stability import (
-    CqlfCertificate,
-    CqlfProblem,
-    Infeasible,
     _unstable_product_witness,
     decay_alpha,
     find_cqlf,
     prune_performance,
     verify_certificate,
 )
+from maars.taskmodel import ConfigError
 
 
 def reference_witness(matrices, max_len=4):
@@ -56,23 +55,33 @@ class TestDecayAlpha:
             decay_alpha(0.0, 1.0)
 
 
+def no_cqlf_reason(caplog) -> str:
+    """The one DEBUG reason ``find_cqlf`` logged for returning None."""
+    reasons = [r.getMessage() for r in caplog.records if r.name == "maars.stability"]
+    assert len(reasons) == 1 and reasons[0].startswith("no CQLF: ")
+    return reasons[0]
+
+
 class TestProblemValidation:
     def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            CqlfProblem(matrices=(np.eye(2) * 0.5,), alphas=(0.1,))
+        """A per-step decay factor that rounds to 0 (gamma -1000) or to 1
+        (gamma -5e-324) at the 35 ms period leaves alpha outside (-1, 0)."""
+        for gamma in (-1000.0, -5e-324):
+            with pytest.raises(ConfigError, match=f"gamma {gamma} at period 0.035 s"):
+                decay_alpha(gamma, 0.035)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            CqlfProblem(matrices=(np.eye(2), np.eye(3)), alphas=(-0.1, -0.1))
+            find_cqlf((np.eye(2), np.eye(3)), (-0.1, -0.1))
 
 
 class TestFindCqlf:
     def test_commuting_pair_certified(self):
         """Scaled rotations commute and share V(x) = |x|^2."""
-        problem = CqlfProblem(matrices=rotation_pair(0.9), alphas=(-0.1, -0.1))
-        result = find_cqlf(problem)
-        assert isinstance(result, CqlfCertificate)
-        min_eig, residual = verify_certificate(problem, result.P)
+        mats, alphas = rotation_pair(0.9), (-0.1, -0.1)
+        P = find_cqlf(mats, alphas)
+        assert P is not None
+        min_eig, residual = verify_certificate(mats, alphas, P)
         assert min_eig > 1e-8
         assert residual <= 1e-8
 
@@ -83,31 +92,34 @@ class TestFindCqlf:
                 design_loop(plant, p, lu_ts.delta).closed_loop for p in t.period_menu
             )
             alphas = tuple(decay_alpha(-0.5, p * lu_ts.delta) for p in t.period_menu)
-            result = find_cqlf(CqlfProblem(matrices=mats, alphas=alphas))
-            assert isinstance(result, CqlfCertificate), t.plant
-            min_eig, residual = verify_certificate(
-                CqlfProblem(matrices=mats, alphas=alphas), result.P
-            )
+            P = find_cqlf(mats, alphas)
+            assert P is not None, t.plant
+            min_eig, residual = verify_certificate(mats, alphas, P)
             assert min_eig > 0 and residual <= 1e-8
 
-    def test_unstable_subsystem_certified_infeasible(self):
-        problem = CqlfProblem(
-            matrices=(np.eye(2) * 0.5, np.eye(2) * 1.2), alphas=(-0.1, -0.1)
-        )
-        result = find_cqlf(problem)
-        assert isinstance(result, Infeasible)
-        assert result.certified
-        assert "Schur" in result.reason
+    def test_unstable_subsystem_certified_infeasible(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf((np.eye(2) * 0.5, np.eye(2) * 1.2), (-0.1, -0.1)) is None
+        reason = no_cqlf_reason(caplog)
+        assert "subsystem 1 is not Schur stable" in reason and "exhausted" not in reason
 
-    def test_stable_pair_unstable_product_certified_infeasible(self):
+    def test_stable_pair_unstable_product_certified_infeasible(self, caplog):
         # Both nilpotent (spectral radius 0) but A1 @ A2 has spectral radius 4.
         a1 = np.array([[0.0, 2.0], [0.0, 0.0]])
         a2 = np.array([[0.0, 0.0], [2.0, 0.0]])
-        problem = CqlfProblem(matrices=(a1, a2), alphas=(-0.1, -0.1))
-        result = find_cqlf(problem, max_sweeps=300)
-        assert isinstance(result, Infeasible)
-        assert result.certified
-        assert "product" in result.reason
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf((a1, a2), (-0.1, -0.1), max_sweeps=300) is None
+        reason = no_cqlf_reason(caplog)
+        assert "switching product" in reason and "exhausted" not in reason
+
+    def test_exhausted_sweeps_are_not_a_witness(self, caplog):
+        """A pair with a certificate, given no sweep to find it, returns None
+        and says the budget ran out, not that no certificate exists."""
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf(rotation_pair(0.9), (-0.1, -0.1), max_sweeps=0) is None
+        reason = no_cqlf_reason(caplog)
+        assert "0 sweeps exhausted" in reason
+        assert "Schur" not in reason and "product" not in reason
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), dim=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -135,17 +147,17 @@ class TestFindCqlf:
         assert _unstable_product_witness(nilpotent) is not None
 
     def test_lyapunov_decrease_along_random_switching(self):
-        problem = CqlfProblem(matrices=rotation_pair(0.85), alphas=(-0.05, -0.05))
-        cert = find_cqlf(problem)
-        assert isinstance(cert, CqlfCertificate)
+        mats, alphas = rotation_pair(0.85), (-0.05, -0.05)
+        P = find_cqlf(mats, alphas)
+        assert P is not None
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.normal(size=2)
             j = rng.integers(0, 2)
-            a = problem.alphas[j]
-            v_before = x @ cert.P @ x
-            x_next = problem.matrices[j] @ x
-            v_after = x_next @ cert.P @ x_next
+            a = alphas[j]
+            v_before = x @ P @ x
+            x_next = mats[j] @ x
+            v_after = x_next @ P @ x_next
             # slack: the LMI residual tolerance scaled by |x|^2
             assert v_after <= (1.0 + a) * v_before + 1e-6 * float(x @ x)
 
@@ -153,22 +165,28 @@ class TestFindCqlf:
     @settings(max_examples=15, deadline=None)
     def test_certificate_invariant_under_similarity(self, seed):
         """T^-1 A T admits the transformed certificate T' P T."""
-        problem = CqlfProblem(matrices=rotation_pair(0.9), alphas=(-0.1, -0.1))
-        cert = find_cqlf(problem)
-        assert isinstance(cert, CqlfCertificate)
+        mats, alphas = rotation_pair(0.9), (-0.1, -0.1)
+        P = find_cqlf(mats, alphas)
+        assert P is not None
         rng = np.random.default_rng(seed)
         T = rng.normal(size=(2, 2))
         while abs(np.linalg.det(T)) < 0.3:
             T = rng.normal(size=(2, 2))
         Tinv = np.linalg.inv(T)
-        transformed = CqlfProblem(
-            matrices=tuple(Tinv @ A @ T for A in problem.matrices),
-            alphas=problem.alphas,
-        )
-        P_t = T.T @ cert.P @ T
-        min_eig, residual = verify_certificate(transformed, P_t)
+        transformed = [Tinv @ A @ T for A in mats]
+        P_t = T.T @ P @ T
+        min_eig, residual = verify_certificate(transformed, alphas, P_t)
         assert min_eig > 0
         assert residual <= 1e-6 * max(1.0, float(np.linalg.norm(P_t)))
+
+
+# each loop is stable, but 2 and 3 switched together are the nilpotent pair
+# whose product has spectral radius 4
+GREEDY_MENU = {
+    1: 0.5 * np.eye(2),
+    2: np.array([[0.0, 2.0], [0.0, 0.0]]),
+    3: np.array([[0.0, 0.0], [2.0, 0.0]]),
+}
 
 
 class TestPrunePerformance:
@@ -193,25 +211,31 @@ class TestPrunePerformance:
         )
         assert kept == [1]
 
-    def test_greedy_drop_breaks_unstable_product(self):
+    def test_greedy_drop_breaks_unstable_product(self, caplog):
         # each loop is stable, but 2 and 3 switched together have the
         # product witness of the certified-infeasible pair above; one of
         # them is dropped and the rest is certified
-        mats = {
-            1: 0.5 * np.eye(2),
-            2: np.array([[0.0, 2.0], [0.0, 0.0]]),
-            3: np.array([[0.0, 0.0], [2.0, 0.0]]),
-        }
-        full = find_cqlf(
-            CqlfProblem(matrices=tuple(mats.values()), alphas=(-0.1,) * 3), max_sweeps=300
-        )
-        assert isinstance(full, Infeasible) and "product" in full.reason
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf(list(GREEDY_MENU.values()), (-0.1,) * 3, max_sweeps=300) is None
+        assert "switching product" in no_cqlf_reason(caplog)
         kept = prune_performance(
-            build_matrix=mats.__getitem__,
+            build_matrix=GREEDY_MENU.__getitem__,
             candidate_periods=[1, 2, 3],
             alpha_of=lambda p: -0.1,
         )
         assert kept == [1, 3]
+
+    def test_greedy_drop_is_logged(self, caplog):
+        """``maars -v`` shows which period a menu lost and the residual that
+        chose it."""
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        prune_performance(
+            build_matrix=GREEDY_MENU.__getitem__,
+            candidate_periods=[1, 2, 3],
+            alpha_of=lambda p: -0.1,
+        )
+        drops = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
+        assert drops == ["dropping period 2 from [1, 2, 3]: the rest is certified"]
 
     def test_unstable_base_infeasible(self):
         kept = prune_performance(

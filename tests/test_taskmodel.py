@@ -13,7 +13,6 @@ from maars.taskmodel import (
     TaskSet,
     TaskSpec,
     TrustedTask,
-    Unschedulable,
     UntrustedTask,
     enumerate_specs,
     hyper_period,
@@ -96,6 +95,7 @@ class TestWcrt:
         assert wcrt(ts, ts.min_period_spec(), 3) == 10
 
     def test_unschedulable_raises(self):
+        """Past the deadline ``wcrt`` is None, for the task that misses it."""
         ts = TaskSet(
             trusted=(
                 make_trusted(tid=1, menu=(2,), wcet=1),
@@ -103,9 +103,8 @@ class TestWcrt:
             ),
             untrusted=(),
         )
-        with pytest.raises(Unschedulable) as exc:
-            wcrt(ts, ts.min_period_spec(), 2)
-        assert exc.value.task_id == 2
+        assert wcrt(ts, ts.min_period_spec(), 1) == 1
+        assert wcrt(ts, ts.min_period_spec(), 2) is None
         assert not is_schedulable(ts, ts.min_period_spec())
 
     def test_bundled_sets_schedulable(self, minimal_ts, ladder_ts, lu_ts, hu_ts):
@@ -131,9 +130,8 @@ class TestWcrt:
             ),
             untrusted=(),
         )
-        try:
-            r_more = wcrt(more, more.min_period_spec(), 2)
-        except Unschedulable:
+        r_more = wcrt(more, more.min_period_spec(), 2)
+        if r_more is None:
             return  # increased interference may break schedulability
         assert r_more >= wcrt(base, base.min_period_spec(), 2)
 
