@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="enumerate every feasible schedule instead of sampling"),
         "--exhaustive-budget": dict(type=_COUNT, default=DEFAULT_ENUM_BUDGET),
         "--gamma": dict(type=_NEGATIVE, default=DEFAULT_DECAY_RATE,
-                        help="target continuous-time decay rate (negative)"),
+                        help="target continuous-time decay rate, a negative number"
+                             " (such as -0.5 or -1e-3)"),
         "--epochs": dict(type=_COUNT, default=50, help="hyper-periods to simulate"),
         "--scenario": dict(default=None, help="attack scenario JSON file"),
         "--store": dict(default=None, help="path to a prebuilt store.json"),
@@ -421,9 +422,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_gamma(argv: list[str]) -> list[str]:
+    """``--gamma X`` as ``--gamma=X`` for a negative number X: argparse would
+    read one in exponent form, such as ``-1e-3``, as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--gamma" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"--gamma={arg}"
+                continue
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_gamma(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)

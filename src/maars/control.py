@@ -122,7 +122,8 @@ def _dare(A, B, Q, R, tol=DARE_TOL, max_iter=DARE_MAX_ITER):
         for _ in range(max_iter):
             BtP = B.T @ P
             gain_term = np.linalg.solve(R + BtP @ B, BtP @ A)
-            P_next = Q + A.T @ P @ A - A.T @ P @ B @ gain_term
+            AtP = A.T @ P  # A.T @ P @ A groups as (A.T @ P) @ A
+            P_next = Q + AtP @ A - AtP @ B @ gain_term
             P_next = (P_next + P_next.T) / 2
             if np.max(np.abs(P_next - P)) < tol:
                 return P_next
@@ -226,8 +227,7 @@ class Detector:
         self.g = 0.0
 
     def step(self, residue: np.ndarray, sigma_inv: np.ndarray) -> tuple[float, bool]:
-        r = np.asarray(residue, dtype=float).reshape(-1)
-        z = float(r @ sigma_inv @ r)
+        z = float(residue @ sigma_inv @ residue)
         self.buffer.append(z)
         self.g = sum(self.buffer) / len(self.buffer)
         return self.g, self.g > self.threshold

@@ -1,6 +1,7 @@
 """Closed-loop co-simulation.
 
-Executes a deployed schedule slot by slot: each trusted task with an
+Executes a deployed schedule at the slots where something happens (its
+event plan, built once per schedule): each trusted task with an
 assigned plant samples its output at job completion, runs its estimator and
 chi-square detector, and writes the next control input into an actuation
 buffer. A compromised untrusted task executing inside the victim's
@@ -12,6 +13,8 @@ later, matching the discrete closed-loop model.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,28 +73,21 @@ class AttackScenario:
 class ControlLoopSim:
     """Runtime state of one trusted control loop across period switches."""
 
-    def __init__(
-        self,
-        task: TrustedTask,
-        plant: PlantModel,
-        delta: float,
-        rng: np.random.Generator,
-        noise_scale: float = 1.0,
-    ):
+    def __init__(self, task: TrustedTask, plant: PlantModel, delta: float):
         self.task = task
         self.plant = plant
-        self.rng = rng
-        self.noise_scale = noise_scale
         self.loops: dict[int, DiscretizedLoop] = {
             p: design_loop(plant, p, delta) for p in task.period_menu
         }
+        # -K per period: ``-K @ xhat`` parses as ``(-K) @ xhat``
+        self.neg_gains = {p: -loop.K for p, loop in self.loops.items()}
         n = plant.n_states
         self.x = np.ones(n)
         self.xhat = np.zeros(n)
         p_in = plant.B.shape[1]
         self.u_cmd = np.zeros(p_in)  # controller's believed input
         self.buffer = np.zeros(p_in)  # actuation buffer (attackable)
-        self.loop = self.loops[task.min_period]  # the loop of the current period
+        self.set_period(task.min_period)
         if plant.detector_threshold is not None:
             threshold = float(plant.detector_threshold)
         else:
@@ -101,49 +97,93 @@ class ControlLoopSim:
         # one detector window spans every period switch; only the residue
         # covariance it normalizes by (the current loop's) changes with the period
         self.detector = Detector(plant.detector_window, threshold)
-        # one SVD factor per noise covariance, for every draw of _noise
+        # one SVD factor per noise covariance, for every draw of noise_rows
         self.w_factor = noise_factor(plant.W)
         self.v_factor = noise_factor(plant.V)
+        # this epoch's process and measurement noise, one row per plant
+        # step and per job completion, in order (set by set_noise)
+        self.w_noise: Iterator[np.ndarray] = iter(())
+        self.v_noise: Iterator[np.ndarray] = iter(())
         self.alarmed = False
-        self.norm = float(np.linalg.norm(self.x))  # ||x||, kept current by advance_plant
+        self.norm = math.sqrt(self.x.dot(self.x))  # ||x||, kept current by advance_plant
         self.norm_trace: list[tuple[float, float]] = []  # (time s, ||x||)
 
     def set_period(self, period: int):
         self.loop = self.loops[period]
+        self.neg_gain = self.neg_gains[period]
 
-    def _noise(self, factor: np.ndarray) -> np.ndarray:
-        """One draw of ``rng.multivariate_normal(zeros(m), cov)`` (same RNG
-        stream, same bits) from ``factor = noise_factor(cov)``, scaled."""
-        m = factor.shape[0]
-        if self.noise_scale == 0.0:
-            return np.zeros(m)
-        draw = np.zeros(m) + self.rng.standard_normal(m).reshape(-1, m) @ factor
-        return draw[0] * self.noise_scale
+    def set_noise(self, z: np.ndarray | None, w_starts: np.ndarray, v_starts: np.ndarray,
+                  scale: float):
+        """This epoch's noise rows, from its block ``z`` of standard normals."""
+        self.w_noise = iter(noise_rows(z, w_starts, self.w_factor, scale))
+        self.v_noise = iter(noise_rows(z, v_starts, self.v_factor, scale))
 
     def advance_plant(self, time_s: float):
         """Period boundary: actuate with the (possibly tampered) buffer."""
         loop = self.loop
-        self.x = loop.A @ self.x + loop.B @ self.buffer + self._noise(self.w_factor)
-        self.norm = float(np.linalg.norm(self.x))
+        x = loop.A @ self.x + loop.B @ self.buffer + next(self.w_noise)
+        self.x = x
+        # np.linalg.norm's own formula for a real vector
+        self.norm = math.sqrt(x.dot(x))
         self.norm_trace.append((time_s, self.norm))
 
     def job_complete(self):
         """Sample, estimate, detect, and compute the next control input."""
         loop = self.loop
         C = self.plant.C
-        y = C @ self.x + self._noise(self.v_factor)
+        y = C @ self.x + next(self.v_noise)
         _, alarm = self.detector.step(y - C @ self.xhat, loop.innovation_inv)
         if alarm:
             self.alarmed = True
         self.xhat = loop.estimator @ self.xhat + loop.B @ self.u_cmd + loop.L @ y
-        self.u_cmd = -loop.K @ self.xhat
-        self.buffer = self.u_cmd.copy()
+        # tamper rebinds the buffer and never writes into it, so both names
+        # may hold one array
+        self.u_cmd = self.buffer = self.neg_gain @ self.xhat
 
     def tamper(self, injection: str, value: float):
         if injection == "replace":
             self.buffer = np.full_like(self.buffer, value)
         else:  # "bias", the only other model an AttackScenario admits
             self.buffer = self.buffer + value
+
+
+def noise_rows(z: np.ndarray | None, starts: np.ndarray, factor: np.ndarray,
+               scale: float) -> np.ndarray:
+    """Row k is one draw of ``rng.multivariate_normal(zeros(m), cov) * scale``
+    (``factor = noise_factor(cov)``), bit for bit, made from the standard
+    normals ``z[starts[k]:starts[k] + m]``; zeros at ``scale`` 0, where no
+    draw is made and ``z`` may be None.
+
+    NumPy's draw is ``zeros(m) + z_row.reshape(-1, m) @ factor``; the rows
+    are stacked as (N, 1, m) matrices so that each one is still its own
+    (1, m) @ (m, m) product (a 2-D (N, m) @ (m, m) product sums in another
+    order and changes the last bits)."""
+    m = factor.shape[0]
+    if scale == 0.0:
+        return np.zeros((len(starts), m))
+    rows = z[starts[:, None] + np.arange(m)]
+    return (np.zeros(m) + rows.reshape(-1, 1, m) @ factor)[:, 0] * scale
+
+
+@dataclass(frozen=True)
+class EventPlan:
+    """What one hyper-period of a schedule does, slot by slot, for a world.
+
+    ``events`` lists, in slot order, every slot where something happens
+    (slot 0 always), with the slot where the next event falls (or the
+    hyper-period's end), the loops whose period boundary falls there (in
+    world order), the loop whose job completes there, and the victim job
+    that a compromised execution there hits. Each event draws its noise in
+    that order: ``starts[i]`` holds the offsets of loop i's process draws (one per
+    period boundary, slot 0 first) and of its measurement draws (one per
+    completion) in the epoch's block of ``total`` standard normals.
+    """
+
+    periods: list[int]  # of each loop, in world order
+    events: list[tuple[int, int, list[ControlLoopSim], ControlLoopSim | None, int | None]]
+    starts: list[tuple[np.ndarray, np.ndarray]]
+    total: int
+    victim_jobs: int
 
 
 class CoSimWorld:
@@ -175,9 +215,10 @@ class CoSimWorld:
             if t.plant is not None:
                 if t.plant not in plants:
                     raise KeyError(f"task {t.id}: no plant named {t.plant!r}")
-                self.loops[t.id] = ControlLoopSim(
-                    t, plants[t.plant], taskset.delta, self.rng, noise_scale
-                )
+                self.loops[t.id] = ControlLoopSim(t, plants[t.plant], taskset.delta)
+        self.noise_scale = noise_scale
+        # id(schedule) -> (schedule, plan); holding the schedule keeps its id unique
+        self.plans: dict[int, tuple[Schedule, EventPlan]] = {}
         self.epoch = 0
         self.time_slots = 0
         self.diverged = False
@@ -185,29 +226,79 @@ class CoSimWorld:
         self.victim_jobs = 0
         self.trace: list[str] = []  # one finished CSV line per slot
 
-    def run_hyper_period(self, sched: Schedule) -> int:
-        """Execute one hyper-period of ``sched``; returns the attack flag
-        (0 or the highest-criticality alarmed trusted task id)."""
-        ts = self.taskset
-        delta = ts.delta
-        l = sched.length
-        attack_on = self.scenario is not None and self.scenario.active(self.epoch)
-        sims: list[tuple[ControlLoopSim, int]] = []  # (loop, its period in this spec)
-        for task_id, sim in self.loops.items():
-            p = sched.spec.period_of(task_id)
-            sim.set_period(p)
-            sim.alarmed = False
-            sims.append((sim, p))
-
+    def plan(self, sched: Schedule) -> EventPlan:
+        """The event plan of ``sched``, built on its first deployment."""
+        cached = self.plans.get(id(sched))
+        if cached is not None:
+            return cached[1]
+        slots, l, scenario = sched.slots, sched.length, self.scenario
+        periods = [sched.spec.period_of(task_id) for task_id in self.loops]
+        boundaries: dict[int, list[ControlLoopSim]] = {0: []}
+        for sim, p in zip(self.loops.values(), periods):
+            for t in range(0, l, p):
+                boundaries.setdefault(t, []).append(sim)
         # the slots where a trusted job completes, plus the AEW of each victim
         # job (slot -> the job) for the attack predicate
         completions: set[int] = set()
         aew_owner: dict[int, int] = {}
-        for t in ts.trusted:
-            windows = exposure_windows(sched.slots, t, sched.spec.period_of(t.id))
+        for t in self.taskset.trusted:
+            windows = exposure_windows(slots, t, sched.spec.period_of(t.id))
             completions.update(w.start - 1 for w in windows)
-            if self.scenario is not None and t.id == self.scenario.victim_id:
+            if scenario is not None and t.id == scenario.victim_id:
                 aew_owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
+        done = {t: self.loops[slots[t]] for t in completions if slots[t] in self.loops}
+        hit = {} if scenario is None else {
+            t: job for t, job in aew_owner.items() if slots[t] == scenario.compromised_task_id
+        }
+
+        starts: dict[ControlLoopSim, tuple[list[int], list[int]]] = {
+            sim: ([], []) for sim in self.loops.values()
+        }
+        total = 0
+        events = []
+        event_slots = sorted(boundaries.keys() | done.keys() | hit.keys())
+        for t, stop in zip(event_slots, [*event_slots[1:], l]):
+            advancing = boundaries.get(t, [])
+            for sim in advancing:
+                starts[sim][0].append(total)
+                total += sim.w_factor.shape[0]
+            completing = done.get(t)
+            if completing is not None:
+                starts[completing][1].append(total)
+                total += completing.v_factor.shape[0]
+            events.append((t, stop, advancing, completing, hit.get(t)))
+        plan = EventPlan(
+            periods=periods,
+            events=events,
+            starts=[(np.array(w, dtype=np.intp), np.array(v, dtype=np.intp))
+                    for w, v in starts.values()],
+            total=total,
+            victim_jobs=0 if scenario is None else l // sched.spec.period_of(scenario.victim_id),
+        )
+        self.plans[id(sched)] = (sched, plan)
+        return plan
+
+    def _draw_noise(self, plan: EventPlan, first: bool):
+        """One block of standard normals for the epoch, shared out to the
+        loops. The first epoch's slot-0 boundaries step no plant: their draws,
+        the first of the plan, are not made."""
+        skip = sum(sim.w_factor.shape[0] for sim in self.loops.values()) if first else 0
+        z = None if self.noise_scale == 0.0 else self.rng.standard_normal(plan.total - skip)
+        for sim, (w, v) in zip(self.loops.values(), plan.starts):
+            sim.set_noise(z, (w[1:] if first else w) - skip, v - skip, self.noise_scale)
+
+    def run_hyper_period(self, sched: Schedule) -> int:
+        """Execute one hyper-period of ``sched``; returns the attack flag
+        (0 or the highest-criticality alarmed trusted task id)."""
+        delta = self.taskset.delta
+        slots, l = sched.slots, sched.length
+        plan = self.plan(sched)
+        base = self.time_slots
+        attack_on = self.scenario is not None and self.scenario.active(self.epoch)
+        for sim, p in zip(self.loops.values(), plan.periods):
+            sim.set_period(p)
+            sim.alarmed = False
+        self._draw_noise(plan, first=base == 0)
 
         # the victim's trace columns, formatted again only after an event
         # that can change them: the epoch start (alarmed resets), its plant
@@ -216,46 +307,42 @@ class CoSimWorld:
         victim = self.loops.get(self.scenario.victim_id) if self.scenario is not None else None
         victim_text, stale = "", victim is not None
         hit_jobs: set[int] = set()
-        for t_slot in range(l):
-            running = sched.slots[t_slot]
-            # period boundaries: actuate every plant whose sampling instant
-            # starts at this slot (skip the synchronous release at t=0 of
-            # the very first epoch: no input computed yet)
-            for sim, p in sims:
-                if t_slot % p == 0 and self.time_slots > 0:
-                    sim.advance_plant(self.time_slots * delta)
+        trace = self.trace
+        end = l
+        for t, stop, advancing, done, job in plan.events:
+            # period boundaries (skip the synchronous release at t=0 of the
+            # very first epoch: no input computed yet)
+            if base + t > 0:
+                for sim in advancing:
+                    sim.advance_plant((base + t) * delta)
                     stale = stale or sim is victim
                     if sim.norm > self.divergence_bound:
                         self.diverged = True
             if self.diverged:
+                end = t
                 break
-            if running in self.loops and t_slot in completions:
-                done = self.loops[running]
+            if done is not None:
                 done.job_complete()
                 stale = stale or done is victim
-            if (
-                attack_on
-                and self.scenario is not None
-                and running == self.scenario.compromised_task_id
-                and t_slot in aew_owner
-            ):
+            if attack_on and job is not None:
                 if victim is not None:
                     victim.tamper(self.scenario.injection, self.scenario.value)
                     stale = True
-                hit_jobs.add(aew_owner[t_slot])
+                hit_jobs.add(job)
             if stale:
                 victim_text = victim_columns(
                     victim.norm, float(victim.buffer[0]), victim.detector.g, victim.alarmed
                 )
                 stale = False
-            self.trace.append(trace_line(self.time_slots * delta, running, victim_text))
-            self.time_slots += 1
+            # this slot and the event-free ones up to the next event
+            trace += [trace_line((base + s) * delta, slots[s], victim_text)
+                      for s in range(t, stop)]
+        self.time_slots = base + end
 
-        if self.scenario is not None:
-            self.victim_jobs += l // sched.spec.period_of(self.scenario.victim_id)
-            self.victim_hits += len(hit_jobs)
+        self.victim_jobs += plan.victim_jobs
+        self.victim_hits += len(hit_jobs)
         self.epoch += 1
-        return resolve_flag(ts, [tid for tid, sim in self.loops.items() if sim.alarmed])
+        return resolve_flag(self.taskset, [tid for tid, sim in self.loops.items() if sim.alarmed])
 
 
 def victim_columns(norm: float, u: float, g: float, alarmed: bool) -> str:

@@ -52,11 +52,11 @@ def verify_certificate(matrices, alphas, P: np.ndarray):
     return min_eig, residual
 
 
-def _unstable_product_witness(matrices, max_len=4) -> str | None:
+def _unstable_product_witness(matrices, max_len=4, margin=1e-12) -> str | None:
     """Search short switching sequences for a product with spectral radius
-    > 1: such a sequence defeats any common Lyapunov function. The products
-    of one length share one batched eigenvalue call; the witness is the first
-    in ``itertools.product`` order."""
+    > 1 + ``margin``: such a sequence defeats any common Lyapunov function.
+    The products of one length share one batched eigenvalue call; the witness
+    is the first in ``itertools.product`` order."""
     n = len(matrices)
     for length in range(1, max_len + 1):
         combos = list(itertools.product(range(n), repeat=length))
@@ -68,7 +68,7 @@ def _unstable_product_witness(matrices, max_len=4) -> str | None:
             prods.append(prod)
         rhos = np.max(np.abs(np.linalg.eigvals(np.stack(prods))), axis=1)
         for combo, rho in zip(combos, rhos):
-            if rho > 1.0 + 1e-12:
+            if rho > 1.0 + margin:
                 return f"switching product {combo} has spectral radius {rho:.6f}"
     return None
 
@@ -81,34 +81,41 @@ def find_cqlf(matrices, alphas, max_sweeps: int = DEFAULT_SWEEPS) -> np.ndarray 
     half-space violated by the top eigenvector of its Lyapunov inequality;
     then clips P back onto the PD cone and renormalizes trace(P) = dim. An
     unstable subsystem or an unstable short switching product, both checked
-    before any sweep, is a witness that no P exists. Why the answer is None
-    (the witness, or sweeps exhausted) is logged at DEBUG.
+    before any sweep, is a witness that no P exists; so is either one among
+    the scaled matrices A_j / sqrt(1 + alpha_j), since a P for the decay
+    gives (A_j / sqrt(1 + alpha_j))' P (A_j / sqrt(1 + alpha_j)) <= P, and
+    hence spectral radius <= 1 for them and for their products. The scaled
+    product witness allows a margin of FEAS_TOL, the residual at which a
+    certificate is accepted. Why the answer is None (the witness, or sweeps
+    exhausted) is logged at DEBUG.
     """
     d = matrices[0].shape[0]
     if len(alphas) != len(matrices) or any(A.shape != (d, d) for A in matrices):
         raise ValueError("one alpha per subsystem, and one square dimension for all")
-    for idx, A in enumerate(matrices):
-        rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-        if rho >= 1.0:
-            log.debug("no CQLF: subsystem %d is not Schur stable (rho=%.6f)", idx, rho)
+    # an unstable subsystem or switching product rules out every common
+    # Lyapunov function, so no sweep can succeed where a witness exists; the
+    # unscaled checks go first, so theirs is the reason logged where both hold
+    scaled = [A / math.sqrt(1.0 + a) for A, a in zip(matrices, alphas)]
+    for mats, margin, where in ((matrices, 1e-12, ""),
+                                (scaled, FEAS_TOL, " at the required decay")):
+        for idx, A in enumerate(mats):
+            rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+            if rho >= 1.0:
+                log.debug("no CQLF: subsystem %d is not Schur stable%s (rho=%.6f)",
+                          idx, where, rho)
+                return None
+        witness = _unstable_product_witness(mats, margin=margin)
+        if witness is not None:
+            log.debug("no CQLF: %s%s", witness, where)
             return None
-    # an unstable switching product rules out every common Lyapunov
-    # function, so no sweep can succeed where the witness exists
-    witness = _unstable_product_witness(matrices)
-    if witness is not None:
-        log.debug("no CQLF: %s", witness)
-        return None
 
     # Warm start: sum of the per-subsystem Lyapunov solutions of
     # (A/sqrt(1+alpha))' P (A/sqrt(1+alpha)) - P = -I. Each term solves its
     # own inequality exactly, so the sum is usually close to a common P and
     # far better conditioned than the identity for stiff loops.
     P = np.zeros((d, d))
-    for A, a in zip(matrices, alphas):
-        scaled = A / math.sqrt(1.0 + a)
-        if float(np.max(np.abs(np.linalg.eigvals(scaled)))) >= 1.0:
-            continue
-        P = P + scipy.linalg.solve_discrete_lyapunov(scaled.T, np.eye(d))
+    for A in scaled:
+        P = P + scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(d))
     P = (P + P.T) / 2
     if np.trace(P) <= 0:
         P = np.eye(d)

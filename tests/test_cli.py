@@ -784,3 +784,32 @@ def test_simulate_outputs_match_golden(arm, golden_stores, tmp_path):
         if (tmp_path / name).exists()
     }
     assert got == SIMULATE_GOLDEN[arm]
+
+
+def test_gamma_without_certificate_is_decided_by_witness(tmp_path, capsys, caplog):
+    """At gamma -1, the sc loop's base period cannot decay at the required
+    rate (spectral radius of A/sqrt(1+alpha) above 1): a witness, not a
+    sweep budget, decides that no menu of task 4 is certified."""
+    caplog.set_level(logging.DEBUG, logger="maars.stability")
+    argv = ["analyze", "--taskset", "automotive_lu", "--gamma=-1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible: task 4: no stabilizable period subset (plant sc)\n"
+    )
+    reasons = [r.getMessage() for r in caplog.records
+               if r.name == "maars.stability" and r.getMessage().startswith("no CQLF")]
+    assert reasons
+    assert all("not Schur stable at the required decay" in r for r in reasons)
+
+
+def test_gamma_in_exponent_form(tmp_path):
+    """``--gamma -1e-3`` reads as ``--gamma=-1e-3`` and ``--gamma -0.001``."""
+    forms = {"space": ["--gamma", "-1e-3"], "equals": ["--gamma=-1e-3"],
+             "decimal": ["--gamma", "-0.001"]}
+    outputs = {}
+    for name, gamma in forms.items():
+        out = tmp_path / name
+        argv = ["analyze", "--taskset", "minimal", "--seeds", "2", "--out", str(out), *gamma]
+        assert main(argv) == EXIT_OK
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["space"] == outputs["equals"] == outputs["decimal"]

@@ -10,20 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maars.cosim
 from maars.control import noise_factor
 from maars.cosim import (
+    DIVERGENCE_BOUND,
     AttackScenario,
     ControlLoopSim,
+    CoSimWorld,
     _fit_metrics,
+    noise_rows,
     run_scenario,
     save_trace_csv,
     trace_line,
     victim_columns,
 )
-from maars.runtime import make_selector
+from maars.runtime import make_selector, resolve_flag
 from maars.schedgen import simulate_fixed_priority
 from maars.taskmodel import ConfigError
-from maars.vulnerability import build_store
+from maars.vulnerability import build_store, exposure_windows
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +103,7 @@ class TestTampering:
 
     def test_replace_overwrites_every_buffer_entry(self, lu_ts, plants):
         t = lu_ts.trusted[0]
-        sim = ControlLoopSim(t, plants[t.plant], lu_ts.delta, np.random.default_rng(0))
+        sim = ControlLoopSim(t, plants[t.plant], lu_ts.delta)
         sim.buffer = np.arange(1.0, sim.buffer.size + 1)
         sim.tamper("replace", 7.5)
         np.testing.assert_array_equal(sim.buffer, np.full(sim.buffer.size, 7.5))
@@ -204,39 +208,168 @@ def psd_covariances(draw):
     return g @ g.T
 
 
-class TestNoise:
-    """The co-simulation draws its noise from a factor cached per
-    covariance; NumPy's ``multivariate_normal``, which factors the
-    covariance again on every draw, is the reference."""
+def reference_noise(rng, cov, scale):
+    """One noise draw as NumPy makes it: ``multivariate_normal``, which
+    factors ``cov`` again on every draw; no draw at all at scale 0."""
+    if scale == 0.0:
+        return np.zeros(cov.shape[0])
+    return rng.multivariate_normal(np.zeros(cov.shape[0]), cov) * scale
 
-    @staticmethod
-    def reference_noise(rng, cov, scale):
-        if scale == 0.0:
-            return np.zeros(cov.shape[0])
-        return rng.multivariate_normal(np.zeros(cov.shape[0]), cov) * scale
+
+class TestNoise:
+    """The co-simulation draws an epoch's noise as one block of standard
+    normals, shared out by ``noise_rows`` with a factor cached per
+    covariance; sequential ``multivariate_normal`` draws are the reference."""
 
     @pytest.fixture(scope="class")
-    def sims(self, lu_ts, plants):
-        """One loop per bundled plant (the LU task that drives it)."""
-        rng = np.random.default_rng(0)
-        return {t.plant: ControlLoopSim(t, plants[t.plant], lu_ts.delta, rng)
-                for t in lu_ts.trusted}
+    def factors(self, lu_ts, plants):
+        """The W and V factors of each bundled plant, as its LU loop holds them."""
+        out = {}
+        for t in lu_ts.trusted:
+            sim = ControlLoopSim(t, plants[t.plant], lu_ts.delta)
+            out[t.plant, "W"] = (sim.plant.W, sim.w_factor)
+            out[t.plant, "V"] = (sim.plant.V, sim.v_factor)
+        return out
 
     @given(
-        source=st.sampled_from([(p, x) for p in ("esp", "ttc", "cc", "sc") for x in "WV"])
-        | psd_covariances(),
+        sources=st.lists(
+            st.sampled_from([(p, x) for p in ("esp", "ttc", "cc", "sc") for x in "WV"])
+            | psd_covariances(),
+            min_size=1, max_size=2,
+        ),
+        order=st.lists(st.integers(0, 1), max_size=60),
         seed=st.integers(0, 2**63),
         scale=st.sampled_from([1.0, 0.37, 0.0]),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_draws_match_multivariate_normal(self, sims, source, seed, scale):
-        if isinstance(source, tuple):  # a bundled plant's W or V, as its loop holds it
-            name, x = source
-            sim = sims[name]
-            cov, factor = getattr(sim.plant, x), {"W": sim.w_factor, "V": sim.v_factor}[x]
-        else:
-            sim, cov, factor = sims["esp"], source, noise_factor(source)
-        sim.rng, sim.noise_scale = np.random.default_rng(seed), scale
+    @settings(max_examples=150, deadline=None)
+    def test_draws_match_multivariate_normal(self, factors, sources, order, seed, scale):
+        """Draws of one or two covariances (rank-deficient ones included),
+        interleaved in ``order``, cut from one block in that order."""
+        covs = [factors[s] if isinstance(s, tuple) else (s, noise_factor(s)) for s in sources]
+        order = [i % len(covs) for i in order]
+        starts, total = [[] for _ in covs], 0
+        for i in order:
+            starts[i].append(total)
+            total += covs[i][0].shape[0]
+        rng = np.random.default_rng(seed)
+        z = None if scale == 0.0 else rng.standard_normal(total)
+        rows = [iter(noise_rows(z, np.array(offsets, dtype=np.intp), factor, scale))
+                for offsets, (_, factor) in zip(starts, covs)]
         ref = np.random.default_rng(seed)
-        for _ in range(200):
-            assert sim._noise(factor).tobytes() == self.reference_noise(ref, cov, scale).tobytes()
+        for i in order:
+            want = reference_noise(ref, covs[i][0], scale)
+            assert next(rows[i]).tobytes() == want.tobytes()
+        assert all(next(r, None) is None for r in rows)
+        # the block consumed the stream exactly as the sequential draws did
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_hyper_period(world, sched, rng, noise_scale):
+    """One hyper-period slot by slot, as the co-simulation is specified:
+    every slot checks every period boundary, completion and tamper, and
+    each plant step or sample draws its own noise from ``rng``."""
+    ts, scenario, delta = world.taskset, world.scenario, world.taskset.delta
+    attack_on = scenario is not None and scenario.active(world.epoch)
+    sims = []
+    for task_id, sim in world.loops.items():
+        p = sched.spec.period_of(task_id)
+        sim.set_period(p)
+        sim.alarmed = False
+        sims.append((sim, p))
+    completions, aew_owner = set(), {}
+    for t in ts.trusted:
+        windows = exposure_windows(sched.slots, t, sched.spec.period_of(t.id))
+        completions.update(w.start - 1 for w in windows)
+        if scenario is not None and t.id == scenario.victim_id:
+            aew_owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
+    victim = world.loops.get(scenario.victim_id) if scenario is not None else None
+    hit_jobs = set()
+    for t_slot, running in enumerate(sched.slots):
+        for sim, p in sims:
+            if t_slot % p == 0 and world.time_slots > 0:
+                sim.w_noise = iter([reference_noise(rng, sim.plant.W, noise_scale)])
+                sim.advance_plant(world.time_slots * delta)
+                if sim.norm > world.divergence_bound:
+                    world.diverged = True
+        if world.diverged:
+            break
+        if running in world.loops and t_slot in completions:
+            done = world.loops[running]
+            done.v_noise = iter([reference_noise(rng, done.plant.V, noise_scale)])
+            done.job_complete()
+        if attack_on and running == scenario.compromised_task_id and t_slot in aew_owner:
+            if victim is not None:
+                victim.tamper(scenario.injection, scenario.value)
+            hit_jobs.add(aew_owner[t_slot])
+        text = "" if victim is None else victim_columns(
+            victim.norm, float(victim.buffer[0]), victim.detector.g, victim.alarmed
+        )
+        world.trace.append(trace_line(world.time_slots * delta, running, text))
+        world.time_slots += 1
+    if scenario is not None:
+        world.victim_jobs += sched.length // sched.spec.period_of(scenario.victim_id)
+        world.victim_hits += len(hit_jobs)
+    world.epoch += 1
+    return resolve_flag(ts, [tid for tid, sim in world.loops.items() if sim.alarmed])
+
+
+class TestEventPlan:
+    """``run_hyper_period`` visits only the event slots of a plan built once
+    per deployed schedule, and draws each epoch's noise in one block."""
+
+    @pytest.mark.parametrize("scenario, noise_scale, bound", [
+        (None, 1.0, DIVERGENCE_BOUND),
+        (AttackScenario(5, 2, injection="bias", value=5.0, start_epoch=2,
+                        duration_epochs=3), 0.37, DIVERGENCE_BOUND),
+        (AttackScenario(5, 2, injection="replace", value=-3.0), 0.0, DIVERGENCE_BOUND),
+        # diverges in the middle of its sixth epoch
+        (AttackScenario(6, 2, injection="replace", value=1e4), 1.0, 60.0),
+    ], ids=["nominal", "bias-window", "replace-noiseless", "diverges"])
+    def test_matches_slot_by_slot_reference(self, lu_ts, plants, lu_bits, scenario,
+                                            noise_scale, bound):
+        worlds = [CoSimWorld(lu_ts, plants, scenario, seed=4, noise_scale=noise_scale,
+                             divergence_bound=bound) for _ in range(2)]
+        rng = np.random.default_rng(4)
+        order = [0, 3, 0, 7, 3, 11, 0, 5]  # repeats reuse a cached plan
+        for index in order:
+            sched = lu_bits.schedules[index]
+            flags = (worlds[0].run_hyper_period(sched),
+                     reference_hyper_period(worlds[1], sched, rng, noise_scale))
+            assert flags[0] == flags[1]
+            if worlds[1].diverged:
+                break
+        got, want = worlds
+        assert got.trace == want.trace
+        assert (got.time_slots, got.epoch, got.diverged) == (want.time_slots, want.epoch,
+                                                             want.diverged)
+        assert (got.victim_hits, got.victim_jobs) == (want.victim_hits, want.victim_jobs)
+        for task_id, sim in got.loops.items():
+            other = want.loops[task_id]
+            assert sim.norm_trace == other.norm_trace
+            assert sim.x.tobytes() == other.x.tobytes()
+            assert sim.detector.g == other.detector.g
+        if bound < DIVERGENCE_BOUND:
+            assert got.diverged and got.time_slots % 60 != 0
+
+    def test_one_plan_per_deployed_schedule(self, plants, lu_ts, lu_bits, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exposure_windows(*args)
+
+        monkeypatch.setattr(maars.cosim, "exposure_windows", counted)
+        sc = AttackScenario(5, 2, injection="bias", value=1.0)
+        selector = make_selector(lu_bits, seed=3)
+        _, world = run_scenario(plants, sc, selector, seed=3, epochs=40)
+        deployed = {e.index for e in selector.deployments}
+        assert len(deployed) < 40  # some schedule was deployed again
+        assert len(world.plans) == len(deployed)
+        assert len(calls) == len(lu_ts.trusted) * len(deployed)
+
+    def test_noiseless_run_draws_nothing(self, plants, lu_static_store):
+        _, world = run_scenario(
+            plants, None, make_selector(lu_static_store, 0), seed=6, epochs=3,
+            noise_scale=0.0,
+        )
+        assert world.rng.bit_generator.state == np.random.default_rng(6).bit_generator.state

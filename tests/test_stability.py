@@ -112,6 +112,27 @@ class TestFindCqlf:
         reason = no_cqlf_reason(caplog)
         assert "switching product" in reason and "exhausted" not in reason
 
+    def test_unstable_at_required_decay_certified_infeasible(self, caplog):
+        """Schur stable, but 0.9 / sqrt(1 - 0.5) > 1: no P decays at alpha."""
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf((np.eye(2) * 0.5, np.eye(2) * 0.9), (-0.5, -0.5)) is None
+        reason = no_cqlf_reason(caplog)
+        assert "subsystem 1 is not Schur stable at the required decay" in reason
+        assert "exhausted" not in reason
+
+    def test_unstable_product_at_required_decay_certified_infeasible(self, caplog):
+        """Every product of the nilpotent pair has spectral radius <= 0.81,
+        but scaled by 1 / sqrt(1 - 0.5), A1 @ A2 has 1.62."""
+        a1 = np.array([[0.0, 0.9], [0.0, 0.0]])
+        a2 = np.array([[0.0, 0.0], [0.9, 0.0]])
+        assert _unstable_product_witness((a1, a2)) is None
+        caplog.set_level(logging.DEBUG, logger="maars.stability")
+        assert find_cqlf((a1, a2), (-0.5, -0.5), max_sweeps=300) is None
+        reason = no_cqlf_reason(caplog)
+        assert "switching product (0, 1) has spectral radius 1.620000 at the required decay" \
+            in reason
+        assert "exhausted" not in reason
+
     def test_exhausted_sweeps_are_not_a_witness(self, caplog):
         """A pair with a certificate, given no sweep to find it, returns None
         and says the budget ran out, not that no certificate exists."""
