@@ -54,6 +54,7 @@ from .taskmodel import (
     ConfigError,
     TaskSet,
     TaskSpec,
+    TrustedTask,
     enumerate_specs,
     is_schedulable,
     load_json,
@@ -174,19 +175,39 @@ def feasible_specs(taskset: TaskSet) -> list[TaskSpec]:
 
 def write_ir_csv(store, path: Path) -> None:
     """Inferability ratio of every stored schedule for every victim/attacker
-    pair, computed on the attacker's folded ladder view."""
+    pair, computed on the attacker's folded ladder view.
+
+    A ladder depends on the victim only through its row (its minimum
+    period), so each schedule builds one per distinct row and attacker and
+    writes every victim's line from it; the ratio of each (|AAI|, |AEI|)
+    pair is computed once.
+    """
     ts = store.taskset
+    row_victims: dict[int, TrustedTask] = {}
+    for victim in ts.trusted:
+        row_victims.setdefault(victim.min_period, victim)
+    ratios: dict[tuple[int, int], float] = {}
+
+    def cells(lv) -> tuple[int, int, float]:
+        counts = len(lv.aai), len(lv.aei)
+        if counts not in ratios:
+            ratios[counts] = float(inferability_ratio(lv))
+        return *counts, ratios[counts]
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "victim", "attacker", "aai", "aei", "ir"])
         for idx, sched in enumerate(store.schedules):
-            for victim in ts.trusted:
-                for u in ts.untrusted:
-                    lv = build_ladder(sched, victim, u)
-                    writer.writerow(
-                        [idx, victim.id, u.id, len(lv.aai), len(lv.aei),
-                         float(inferability_ratio(lv))]
-                    )
+            views = {
+                (row, u.id): cells(build_ladder(sched, victim, u))
+                for row, victim in row_victims.items()
+                for u in ts.untrusted
+            }
+            writer.writerows(
+                [idx, victim.id, u.id, *views[victim.min_period, u.id]]
+                for victim in ts.trusted
+                for u in ts.untrusted
+            )
 
 
 def write_summary(

@@ -9,6 +9,12 @@ Every randomized or enumerated choice keeps the remaining jobs schedulable.
 That is decided by the processor-demand criterion (Baruah, Rosier & Howell,
 Real-Time Systems 1990) on a table precomputed per task set, so a choice
 costs no lookahead simulation.
+
+The randomized draws take their Fisher-Yates numbers from a SplitMix64
+stream. SplitMix64 is counter-based (Steele, Lea & Flood, OOPSLA 2014):
+output k of state s is a mix of s + k * gamma mod 2**64 alone, so the
+stream is computed in fixed-size NumPy ``uint64`` blocks, bit for bit the
+outputs of repeated ``splitmix64`` steps.
 """
 
 from __future__ import annotations
@@ -17,12 +23,24 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, count
+
+import numpy as np
 
 # The only implementation; summary.txt and benchmark records name it.
 BACKEND = "pure"
 
 MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# The stream is computed this many outputs at a time: bounded, since a
+# hyper-period may reach 10**9 slots, and small, since a short one draws a
+# few dozen
+_BLOCK = 128
+_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+# splitmix64's shifts and multipliers as NumPy scalars (a Python int operand
+# is converted again on every operation)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHUFFLE_SALT = 0xD6E8FEB86659FD93
 _AWARE_SALT = 0xA3C59AC2ED1097E5
 
@@ -39,11 +57,31 @@ class BudgetExceeded(Exception):
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One step of SplitMix64; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    state = (state + _GAMMA) & MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, z ^ (z >> 31)
+
+
+def _stream_block(state: int) -> list[int]:
+    """The ``_BLOCK`` outputs of ``splitmix64`` stepped from ``state``: output
+    k mixes state + k * gamma mod 2**64 alone."""
+    z = _OFFSETS + np.uint64(state & MASK64)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z.tolist()
+
+
+def _stream(state: int):
+    """Iterator over the outputs of ``splitmix64`` stepped from ``state``,
+    computed a block at a time when first asked for. A block's arrays die
+    inside ``_stream_block``: kept alive while the slot loop allocated, they
+    fragmented the heap (+0.5 MB peak RSS over 4000 LU schedules)."""
+    return chain.from_iterable(map(_stream_block, count(state, _BLOCK * _GAMMA)))
 
 
 def simulate_fp(periods, wcets, l):
@@ -161,38 +199,56 @@ def _runnable(tab: _Tables, t: int, rem: list, ready: list) -> list:
 
 
 def _draw(periods, wcets, aews, n_trusted, l, state):
+    """One randomized feasible schedule: per slot, the ascending list of
+    tasks with work left in Fisher-Yates order from the SplitMix64 stream
+    of ``state`` (one output per swap), class-partitioned while a trusted
+    window is open, then the first job that keeps every deadline.
+
+    The list of tasks with work left is rebuilt only at a release and loses
+    a task when its job completes. The processor-demand scan of
+    ``_runnable`` runs only for slots whose ``window_min`` leaves no slack
+    for a unit of work.
+    """
     tab = _tables(tuple(periods), tuple(wcets), l)
     if tab.overload:
         raise DeadlineMiss(*tab.overload)
     releases, next_release = tab.releases, tab.next_release
+    base, window_min = tab.base, tab.window_min
     n = len(periods)
+    draws = _stream(state)
     rem = [0] * n
+    active: list = []  # ascending: the tasks whose current job has work left
     slots = [0] * l
     window_end = 0
     t = 0
     while t < l:
-        for i in releases[t]:
-            rem[i] = wcets[i]
-        ready = [i for i in range(n) if rem[i]]
-        if not ready:
+        if releases[t]:
+            for i in releases[t]:
+                rem[i] = wcets[i]
+            active = [i for i in range(n) if rem[i]]
+        if not active:
             t = next_release[t]
             continue
-        if len(ready) > 1:
-            # uniform order: Fisher-Yates over the ascending ready list
-            for j in range(len(ready) - 1, 0, -1):
-                state, z = splitmix64(state)
+        if len(active) > 1:
+            ready = active[:]
+            # uniform order: Fisher-Yates over the ascending list; zip stops
+            # at the end of the range before taking another output
+            for j, z in zip(range(len(ready) - 1, 0, -1), draws):
                 k = z % (j + 1)
                 ready[j], ready[k] = ready[k], ready[j]
             if n_trusted:
                 # stable class partition: trusted first while a window is open
                 ready.sort(key=n_trusted.__le__ if t < window_end else n_trusted.__gt__)
-            ready = _runnable(tab, t, rem, ready)
-        chosen = ready[0]
+            chosen = ready[0] if window_min[t] > base[t] else _runnable(tab, t, rem, ready)[0]
+        else:
+            chosen = active[0]
         slots[t] = chosen + 1
         rem[chosen] -= 1
-        if chosen < n_trusted and not rem[chosen]:
-            deadline = t - t % periods[chosen] + periods[chosen]
-            window_end = max(window_end, min(t + aews[chosen] + 1, deadline))
+        if not rem[chosen]:
+            active.remove(chosen)
+            if chosen < n_trusted:
+                deadline = t - t % periods[chosen] + periods[chosen]
+                window_end = max(window_end, min(t + aews[chosen] + 1, deadline))
         t += 1
     return slots
 

@@ -5,6 +5,10 @@ victim's minimum period so all victim arrivals align in one column, then
 derives the columns where a compromised lower-priority task arrives (AAI)
 and actually executes (AEI). Columns in AAI but never in AEI are preemption
 shadows: candidate victim arrival columns. Columns are 0-indexed.
+
+The view depends on the victim only through its row length, so a caller
+that needs it for several victims with the same minimum period builds it
+once (``cli.write_ir_csv`` does).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .schedgen import Schedule
 from .taskmodel import TrustedTask, UntrustedTask
@@ -22,6 +27,13 @@ class LadderView:
     aai: frozenset[int]
     aei: frozenset[int]
     conclusive: bool
+
+
+@lru_cache(maxsize=256)
+def _arrival_columns(row: int, period: int, window: int) -> frozenset[int]:
+    """AAI: the columns of the attacker's arrivals in the first ``window``
+    slots."""
+    return frozenset(a % row for a in range(0, window, period))
 
 
 def build_ladder(
@@ -37,18 +49,32 @@ def build_ladder(
     observes only its own executed slots; both are reduced modulo the row
     length. The default window covers two repetitions of lcm(row, attacker
     period); a window shorter than one is flagged inconclusive.
+
+    Only the attacker's executed slots are visited: they are found in the
+    first min(window, L) slots of the hyper-period, and each one at s stands
+    for the observed slots s, s + L, s + 2L, ... inside the window.
     """
     row = victim.min_period
     repetition = math.lcm(row, attacker.period)
     if observation_slots is None:
         observation_slots = 2 * repetition
     slots, length = sched.slots, sched.length
-    aai = {a % row for a in range(0, observation_slots, attacker.period)}
-    aei = {
-        t % row for t in range(observation_slots) if slots[t % length] == attacker.id
-    }
-    conclusive = observation_slots >= repetition
-    return LadderView(aai=frozenset(aai), aei=frozenset(aei), conclusive=conclusive)
+    stop = min(observation_slots, length)
+    executed = []
+    t = -1
+    try:
+        while True:
+            t = slots.index(attacker.id, t + 1, stop)
+            executed.append(t)
+    except ValueError:  # no executed slot left before ``stop``
+        pass
+    return LadderView(
+        aai=_arrival_columns(row, attacker.period, observation_slots),
+        aei=frozenset(
+            u % row for s in executed for u in range(s, observation_slots, length)
+        ),
+        conclusive=observation_slots >= repetition,
+    )
 
 
 def inferability_ratio(lv: LadderView) -> Fraction:

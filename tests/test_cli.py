@@ -1,10 +1,12 @@
 """Command-line pipeline: artifacts, exit codes, policy wiring."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import logging
+import math
 import tempfile
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from maars.cli import (
     prune_menus,
     write_ir_csv,
 )
+from maars.ladder import build_ladder, inferability_ratio
 from maars.schedgen import simulate_fixed_priority
 from maars.taskmodel import taskset_to_dict
 from maars.vulnerability import export_reports_csv, load_store
@@ -88,6 +91,11 @@ class TestBaseline:
         store = load_store(tmp_path / "store.json", minimal_ts)
         fp = simulate_fixed_priority(minimal_ts, minimal_ts.min_period_spec())
         assert store.schedules == [fp]
+
+    def test_seed_base_beyond_64_bits(self, tmp_path):
+        code = main(["baseline", "--taskset", "minimal", "--seeds", "3",
+                     "--seed-base", str(2**70), "--out", str(tmp_path)])
+        assert code == EXIT_OK
 
 
 class TestSimulate:
@@ -731,6 +739,40 @@ def test_reports_match_golden(command, golden_stores, lu_ts, tmp_path):
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in REPORT_GOLDEN[command]}
         assert got == REPORT_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
+def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, tmp_path,
+                                                 monkeypatch):
+    """ir.csv holds the ladder of every (schedule, victim, attacker) triple,
+    built once per schedule, distinct victim row and attacker."""
+    store = load_store(golden_stores / command / "store.json", lu_ts)
+    victims, attackers = lu_ts.trusted, lu_ts.untrusted
+    rows = {v.min_period for v in victims}
+    windows = [2 * math.lcm(row, u.period) for row in rows for u in attackers]
+    lengths = [s.length for s in store.schedules]
+    # victims that share a row and victims that do not; hyper-periods both
+    # shorter and longer than an observation window
+    assert 1 < len(rows) < len(victims)
+    assert min(lengths) < max(windows) and max(lengths) > min(windows)
+    expected = [["index", "victim", "attacker", "aai", "aei", "ir"]]
+    for idx, sched in enumerate(store.schedules):
+        for victim in victims:
+            for u in attackers:
+                lv = build_ladder(sched, victim, u)
+                expected.append([str(idx), str(victim.id), str(u.id), str(len(lv.aai)),
+                                 str(len(lv.aei)), str(float(inferability_ratio(lv)))])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_ladder(*args)
+
+    monkeypatch.setattr(maars.cli, "build_ladder", counted)
+    write_ir_csv(store, tmp_path / "ir.csv")
+    with open(tmp_path / "ir.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
+    assert len(calls) == len(store.schedules) * len(rows) * len(attackers)
 
 
 def test_simulate_deploys_the_store_without_pruning(golden_stores, tmp_path, monkeypatch):

@@ -272,11 +272,11 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
-def automotive_specs():
-    """(periods, wcets, aews, n_trusted, l) of every spec of both automotive
+def automotive_specs(names=("automotive_lu", "automotive_hu")):
+    """(periods, wcets, aews, n_trusted, l) of every spec of the automotive
     sets, including the HU specs whose utilization exceeds 1."""
     cases = []
-    for name in ("automotive_lu", "automotive_hu"):
+    for name in names:
         ts = load_taskset(data_path("tasksets", f"{name}.json"))
         wcets = [t.wcet for t in ts.trusted] + [u.wcet for u in ts.untrusted]
         aews = [t.aew for t in ts.trusted]
@@ -301,8 +301,17 @@ def small_task_sets(draw):
 
 SEEDS = st.integers(min_value=0, max_value=MASK64)
 
+# An HU spec with a 2100-slot hyper-period and utilization at most 1: its
+# draws take thousands of stream outputs, so many blocks
+HU_2100 = next(
+    (periods, wcets, aews, n_trusted, l)
+    for periods, wcets, aews, n_trusted, l in automotive_specs(["automotive_hu"])
+    if l == 2100 and sum(e * (l // p) for p, e in zip(periods, wcets)) <= l
+)
+
 
 @given(case=st.sampled_from(automotive_specs()), seed=SEEDS)
+@example(case=HU_2100, seed=MASK64)
 @settings(max_examples=40, deadline=None)
 def test_automotive_draws_match_reference(case, seed):
     periods, wcets, aews, n_trusted, l = case
@@ -325,6 +334,35 @@ def test_small_sets_match_reference(case, seed):
     assert outcome(kernel.aware_shuffle, *args) == outcome(ref_aware_shuffle, *args)
     assert outcome(kernel.enumerate_all, periods, wcets, l, 300) == outcome(
         ref_enumerate_all, periods, wcets, l, 300)
+
+
+@given(case=st.sampled_from(automotive_specs()), seed=SEEDS)
+@example(case=HU_2100, seed=MASK64)
+@settings(max_examples=10, deadline=None)
+def test_seed_is_taken_modulo_2_64(case, seed):
+    periods, wcets, aews, n_trusted, l = case
+    big = seed + 2**64
+    assert outcome(kernel.shuffle, periods, wcets, l, big) == outcome(
+        kernel.shuffle, periods, wcets, l, seed) == outcome(ref_shuffle, periods, wcets, l, big)
+    args = (periods, wcets, aews, n_trusted, l)
+    assert outcome(kernel.aware_shuffle, *args, big) == outcome(
+        kernel.aware_shuffle, *args, seed) == outcome(ref_aware_shuffle, *args, big)
+
+
+@given(seed=SEEDS, boundary=st.integers(1, 3), before=st.integers(1, 4),
+       after=st.integers(1, 4))
+@example(seed=MASK64, boundary=1, before=1, after=1)  # the state wraps at once
+@settings(max_examples=50, deadline=None)
+def test_blocked_stream_matches_splitmix64(seed, boundary, before, after):
+    """The stream's outputs on both sides of a block boundary are those of
+    sequential ``splitmix64`` steps."""
+    start = boundary * kernel._BLOCK - before
+    stop = boundary * kernel._BLOCK + after
+    state, expected = seed, []
+    for _ in range(stop):
+        state, z = splitmix64(state)
+        expected.append(z)
+    assert list(itertools.islice(kernel._stream(seed), start, stop)) == expected[start:]
 
 
 def reference_tables(periods, wcets, l):
