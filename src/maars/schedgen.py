@@ -1,16 +1,19 @@
 """Schedule generation: deterministic fixed-priority simulation, randomized
 shuffling with an exact feasibility check, and exhaustive enumeration for
-desk-scale verification. Thin wrappers around ``maars.kernel`` plus an
-independent validity checker.
+desk-scale verification. Thin wrappers around ``maars.kernel`` plus the
+one validity check (``validate_schedule``), which the store loader runs too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import kernel
 from .taskmodel import TaskSet, TaskSpec, hyper_period
@@ -115,45 +118,66 @@ def generate_pool(
 
 
 # ---------------------------------------------------------------------------
-# independent validity checker (never uses kernel internals)
+# the one validity check (never uses kernel internals)
 
 
 def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
-    """Check job slot counts, deadline containment and work-conservation.
+    """Every violation of the rules a schedule of ``taskset`` must meet;
+    empty means valid. Never raises. The rules:
 
-    Returns a list of violation descriptions; empty means valid.
+    - each trusted task's period comes from its menu, and each untrusted
+      task keeps its own period;
+    - the length is the hyper-period of those periods;
+    - every slot is an integer task id in 0..n_tasks (0 is idle);
+    - every job gets exactly its WCET in units inside its frame;
+    - no slot is idle while a job has work left (work conservation).
+
+    The last two read the periods and the slots, so a schedule that breaks
+    one of the first three is not checked against them.
     """
-    periods, wcets = sched.spec.all_periods(), taskset.wcets
-    n = len(periods)
-    l = sched.length
-    errors = []
-    for i in range(n):
-        p, e = periods[i], wcets[i]
-        if l % p != 0:
-            errors.append(f"task {i+1}: hyper-period {l} not divisible by period {p}")
-            continue
-        for job in range(l // p):
-            window = sched.slots[job * p : (job + 1) * p]
-            got = sum(1 for s in window if s == i + 1)
-            if got != e:
-                errors.append(
-                    f"task {i+1} job {job}: {got} slots in deadline window, expected {e}"
-                )
-    # work-conservation: replay demand and flag idle slots with pending work
-    rem = [0] * n
-    for t in range(l):
-        for i in range(n):
-            if t % periods[i] == 0:
-                rem[i] = wcets[i]
-        s = sched.slots[t]
-        if s == 0:
-            if any(r > 0 for r in rem):
-                errors.append(f"slot {t}: idle while jobs are ready")
-        else:
-            if rem[s - 1] <= 0:
-                errors.append(f"slot {t}: task {s} runs with no pending job")
-            else:
-                rem[s - 1] -= 1
+    return validate_stack(taskset, sched.spec, [sched.slots])[0]
+
+
+def validate_stack(
+    taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
+) -> list[list[str]]:
+    """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``.
+    The frame rules run once, on the (k, L) array of the k that pass the rest."""
+    periods, n = spec.all_periods(), taskset.n_tasks
+    if not (
+        len(spec.periods) == len(taskset.trusted)
+        and all(p in t.period_menu for p, t in zip(spec.periods, taskset.trusted))
+        and spec.untrusted_periods == tuple(u.period for u in taskset.untrusted)
+    ):
+        return [[f"periods {list(periods)}: a trusted period outside its menu or a "
+                 "changed untrusted period"] for _ in stack]
+    length = math.lcm(*periods)
+    errors = [[] if len(s) == length else [f"length {len(s)}, not the hyper-period {length}"]
+              for s in stack]
+    rows = [r for r, e in enumerate(errors) if not e]
+    try:
+        slots = np.array([stack[r] for r in rows])
+        ids = slots.ndim == 2 and slots.dtype.kind in "iu" and 0 <= slots.min() <= slots.max() <= n
+    except ValueError:  # slots that are sequences of different lengths
+        ids = False
+    if not ids:  # find the slots that are not task ids, row by row
+        for r in rows:
+            errors[r] = [f"slot {t}: {s!r} is not a task id in 0..{n}"
+                         for t, s in enumerate(stack[r])
+                         if not (isinstance(s, (int, np.integer)) and 0 <= s <= n)]
+        rows = [r for r in rows if not errors[r]]
+        slots = np.array([stack[r] for r in rows], dtype=np.int64).reshape(len(rows), length)
+    pending = np.zeros(slots.shape, dtype=bool)
+    for task_id, (p, wcet) in enumerate(zip(periods, taskset.wcets), start=1):
+        runs = (slots == task_id).reshape(len(rows), length // p, p)
+        done = runs.cumsum(axis=2)  # units of the frame's job up to each slot
+        for r, job in zip(*(done[:, :, -1] != wcet).nonzero()):
+            errors[rows[r]].append(f"task {task_id} job {job}: {done[r, job, -1]} "
+                                   f"slots in its frame, expected {wcet}")
+        # at an idle slot, done counts the units before it
+        pending |= (done < wcet).reshape(len(rows), length)
+    for r, t in zip(*((slots == 0) & pending).nonzero()):
+        errors[rows[r]].append(f"slot {t}: idle while jobs are ready")
     return errors
 
 

@@ -155,6 +155,19 @@ def move_task_1_to_period_20(store: dict) -> None:
         rec["slots"][j] = 0
 
 
+def idle_earlier(store: dict) -> None:
+    """Move an idle slot of the first schedule one slot earlier, past a unit
+    of a task whose frame holds both slots: every frame keeps its units, but
+    the schedule now idles while that unit's job has work left."""
+    rec = store["pool"]["schedules"][0]
+    periods, slots = rec["periods"] + rec["untrusted_periods"], rec["slots"]
+    t = next(
+        t for t in range(1, len(slots))
+        if slots[t] == 0 and slots[t - 1] and t % periods[slots[t - 1] - 1]
+    )
+    slots[t - 1], slots[t] = 0, slots[t - 1]
+
+
 CORRUPT_STORE = {
     "store-missing-taskset": lambda d: d.pop("taskset"),
     "store-missing-pool": lambda d: d.pop("pool"),
@@ -163,6 +176,8 @@ CORRUPT_STORE = {
     "store-bad-svt": lambda d: d.update(svt="abc"),
     "store-broken-job": break_a_job,
     "store-period-outside-menu": move_task_1_to_period_20,
+    "store-idle-while-ready": idle_earlier,
+    "store-stale-taskset-hash": lambda d: d["pool"].update(taskset_hash="0" * 16),
 }
 # A JSON number too large for a float: ``to_json`` writes this string as the
 # bare literal 1e400, which reads back as inf.

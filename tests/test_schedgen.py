@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from maars.schedgen import (
     simulate_fixed_priority,
     unique,
     validate_schedule,
+    validate_stack,
 )
 from maars.taskmodel import TaskSpec, enumerate_specs
 
@@ -135,3 +137,36 @@ class TestValidator:
         sched = Schedule(spec=spec2, slots=(1, 1, 2, 3), provenance="exhaustive")
         errors = validate_schedule(minimal_ts, sched)
         assert errors
+
+    @pytest.mark.parametrize("slots", [(1, 2, 1, 9), (1, 2, 1, 2.5), (1, 2, 1, 3) * 2],
+                             ids=["slot-id-out-of-range", "slot-not-int", "two-hyper-periods"])
+    def test_flags_malformed_schedule_without_raising(self, minimal_ts, spec2, slots):
+        sched = Schedule(spec=spec2, slots=slots, provenance="exhaustive")
+        assert validate_schedule(minimal_ts, sched)
+
+    @pytest.mark.parametrize("periods", [(2, 4), (3, 4)])
+    def test_accepts_exactly_the_enumerated_schedules(self, minimal_ts, periods):
+        """Every slot array of the 4-slot hyper-period, and every array one
+        replacement or one swap away from a valid schedule of the 12-slot
+        one, is valid exactly when the kernel enumerates it, checked one
+        schedule at a time and as one stack."""
+        spec = TaskSpec(periods, (4,))
+        valid = {s.slots for s in enumerate_all(minimal_ts, spec)}
+        if periods == (2, 4):
+            stack = list(product(range(4), repeat=4))
+        else:
+            near = set()
+            for slots in valid:
+                for t, task in product(range(len(slots)), range(4)):
+                    near.add(slots[:t] + (task,) + slots[t + 1:])
+                for i, j in combinations(range(len(slots)), 2):
+                    swapped = list(slots)
+                    swapped[i], swapped[j] = slots[j], slots[i]
+                    near.add(tuple(swapped))
+            stack = sorted(near)
+        expected = [slots in valid for slots in stack]
+        assert [not errors for errors in validate_stack(minimal_ts, spec, stack)] == expected
+        assert [
+            not validate_schedule(minimal_ts, Schedule(spec, slots, "exhaustive"))
+            for slots in stack
+        ] == expected
