@@ -31,7 +31,6 @@ or a store with no schedule to deploy first).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -39,14 +38,16 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import DEFAULT_DECAY_RATE, __version__, data_path
 from .control import NumericsError, PlantModel, design_loop, load_plant
 from .cosim import AttackScenario, run_scenario, save_trace_csv
 from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
-from .ladder import build_ladder, inferability_ratio
+from .ladder import aei_sizes, build_ladder, inferability_ratio
 from .runtime import EmptyCandidateSet, make_selector, save_log_csv
 from .schedgen import (
-    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, unique,
+    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, stacks, unique,
 )
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
@@ -178,36 +179,37 @@ def write_ir_csv(store, path: Path) -> None:
     pair, computed on the attacker's folded ladder view.
 
     A ladder depends on the victim only through its row (its minimum
-    period), so each schedule builds one per distinct row and attacker and
-    writes every victim's line from it; the ratio of each (|AAI|, |AEI|)
-    pair is computed once.
+    period), so |AEI| is computed once per distinct row and attacker, for a
+    whole period-assignment stack at a time (``aei_sizes``). Each distinct
+    (row, attacker, |AEI|) cell is formatted once, from the ladder of the
+    first schedule that has it, and so is each distinct set of a schedule's
+    lines, with its index left to fill in.
     """
     ts = store.taskset
     row_victims: dict[int, TrustedTask] = {}
     for victim in ts.trusted:
         row_victims.setdefault(victim.min_period, victim)
-    ratios: dict[tuple[int, int], float] = {}
-
-    def cells(lv) -> tuple[int, int, float]:
-        counts = len(lv.aai), len(lv.aei)
-        if counts not in ratios:
-            ratios[counts] = float(inferability_ratio(lv))
-        return *counts, ratios[counts]
-
+    pairs = [(victim, u) for victim in row_victims.values() for u in ts.untrusted]
+    sizes = np.empty((len(store.schedules), len(pairs)), dtype=np.int64)
+    for _, members, stack in stacks(store.schedules):
+        for j, (victim, u) in enumerate(pairs):
+            sizes[members, j] = aei_sizes(stack, victim, u)
+    # each line of a schedule: its text after the index, and its column of sizes
+    lines = [(f",{v.id},{u.id},", pairs.index((row_victims[v.min_period], u)))
+             for v in ts.trusted for u in ts.untrusted]
+    cells: list[dict[int, str]] = [{} for _ in pairs]  # per column: |AEI| -> cell text
+    blocks: dict[tuple[int, ...], list[str]] = {}  # sizes -> lines, to join by the index
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "victim", "attacker", "aai", "aei", "ir"])
-        for idx, sched in enumerate(store.schedules):
-            views = {
-                (row, u.id): cells(build_ladder(sched, victim, u))
-                for row, victim in row_victims.items()
-                for u in ts.untrusted
-            }
-            writer.writerows(
-                [idx, victim.id, u.id, *views[victim.min_period, u.id]]
-                for victim in ts.trusted
-                for u in ts.untrusted
-            )
+        fh.write("index,victim,attacker,aai,aei,ir\r\n")
+        for idx, key in enumerate(map(tuple, sizes.tolist())):
+            if key not in blocks:
+                for (victim, u), n, texts in zip(pairs, key, cells):
+                    if n not in texts:
+                        lv = build_ladder(store.schedules[idx], victim, u)
+                        ratio = float(inferability_ratio(lv))
+                        texts[n] = f"{len(lv.aai)},{len(lv.aei)},{ratio!r}\r\n"
+                blocks[key] = ["", *(text + cells[j][key[j]] for text, j in lines)]
+            fh.write(str(idx).join(blocks[key]))
 
 
 def write_summary(

@@ -6,9 +6,14 @@ derives the columns where a compromised lower-priority task arrives (AAI)
 and actually executes (AEI). Columns in AAI but never in AEI are preemption
 shadows: candidate victim arrival columns. Columns are 0-indexed.
 
-The view depends on the victim only through its row length, so a caller
-that needs it for several victims with the same minimum period builds it
-once (``cli.write_ir_csv`` does).
+The fold, which lays the observation window out as the ladder and names the
+hyper-period slot observed in each cell, is built once per (row, window,
+hyper-period) (``fold``). ``build_ladder`` reads it for one schedule;
+``aei_sizes`` applies it to a stack of schedules of one period assignment at
+once. The view
+depends on the victim only through its row length, so a caller that needs it
+for several victims with the same minimum period folds once per row
+(``cli.write_ir_csv`` does).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .schedgen import Schedule
 from .taskmodel import TrustedTask, UntrustedTask
@@ -36,6 +43,29 @@ def _arrival_columns(row: int, period: int, window: int) -> frozenset[int]:
     return frozenset(a % row for a in range(0, window, period))
 
 
+@lru_cache(maxsize=256)
+def fold(row: int, window: int, length: int) -> np.ndarray:
+    """The first ``window`` observed slots laid out as the ladder: the
+    read-only (ceil(window / row), row) array whose entry [m, c] is the slot
+    of a hyper-period of ``length`` slots, repeating from slot 0, that is
+    observed at t = m * row + c (t mod length), or ``length`` past the
+    window. Its size is that of the window, whatever the row."""
+    slots = np.arange(-(-window // row) * row) % length
+    slots[window:] = length
+    slots = slots.reshape(-1, row)
+    slots.flags.writeable = False
+    return slots
+
+
+def _executed_columns(stack: np.ndarray, row: int, window: int, attacker_id: int) -> np.ndarray:
+    """The (k, row) bool array of the columns the attacker executes in within
+    the window, for each schedule of the (k, L) slot array ``stack``."""
+    k, length = stack.shape
+    runs = np.zeros((k, length + 1), dtype=bool)  # the extra slot stands past the window
+    np.equal(stack, attacker_id, out=runs[:, :length])
+    return runs[:, fold(row, window, length)].any(axis=1)
+
+
 def build_ladder(
     sched: Schedule,
     victim: TrustedTask,
@@ -50,31 +80,27 @@ def build_ladder(
     length. The default window covers two repetitions of lcm(row, attacker
     period); a window shorter than one is flagged inconclusive.
 
-    Only the attacker's executed slots are visited: they are found in the
-    first min(window, L) slots of the hyper-period, and each one at s stands
-    for the observed slots s, s + L, s + 2L, ... inside the window.
+    The AEI is read from the attacker's slots through ``fold``.
     """
     row = victim.min_period
     repetition = math.lcm(row, attacker.period)
     if observation_slots is None:
         observation_slots = 2 * repetition
-    slots, length = sched.slots, sched.length
-    stop = min(observation_slots, length)
-    executed = []
-    t = -1
-    try:
-        while True:
-            t = slots.index(attacker.id, t + 1, stop)
-            executed.append(t)
-    except ValueError:  # no executed slot left before ``stop``
-        pass
+    stack = np.array([sched.slots], dtype=np.int64)
+    columns = _executed_columns(stack, row, observation_slots, attacker.id)[0]
     return LadderView(
         aai=_arrival_columns(row, attacker.period, observation_slots),
-        aei=frozenset(
-            u % row for s in executed for u in range(s, observation_slots, length)
-        ),
+        aei=frozenset(np.flatnonzero(columns).tolist()),
         conclusive=observation_slots >= repetition,
     )
+
+
+def aei_sizes(stack: np.ndarray, victim: TrustedTask, attacker: UntrustedTask) -> np.ndarray:
+    """|AEI| of the default-window ladder (``build_ladder``) of each schedule
+    of the (k, L) slot array ``stack``."""
+    row = victim.min_period
+    window = 2 * math.lcm(row, attacker.period)
+    return np.count_nonzero(_executed_columns(stack, row, window, attacker.id), axis=1)
 
 
 def inferability_ratio(lv: LadderView) -> Fraction:

@@ -9,7 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -54,6 +56,24 @@ def unique(schedules: Iterable[Schedule]) -> list[Schedule]:
     for s in schedules:
         first.setdefault(s.key, s)
     return list(first.values())
+
+
+def group_by_spec(schedules: Iterable[Schedule]) -> dict[TaskSpec, list[int]]:
+    """The indices of ``schedules`` per period assignment, in order."""
+    groups: dict[TaskSpec, list[int]] = defaultdict(list)
+    for i, s in enumerate(schedules):
+        groups[s.spec].append(i)
+    return dict(groups)
+
+
+def stacks(schedules: list[Schedule]) -> Iterator[tuple[TaskSpec, list[int], np.ndarray]]:
+    """Per period assignment (``group_by_spec``): the spec, the indices of its
+    k schedules and their slots as one (k, L) int32 array."""
+    for spec, members in group_by_spec(schedules).items():
+        length = schedules[members[0]].length
+        flat = chain.from_iterable(schedules[i].slots for i in members)
+        yield spec, members, np.fromiter(flat, np.int32, len(members) * length).reshape(
+            len(members), length)
 
 
 def simulate_fixed_priority(taskset: TaskSet, spec: TaskSpec) -> Schedule:
@@ -128,7 +148,8 @@ def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
     - each trusted task's period comes from its menu, and each untrusted
       task keeps its own period;
     - the length is the hyper-period of those periods;
-    - every slot is an integer task id in 0..n_tasks (0 is idle);
+    - every slot is an integer task id in 0..n_tasks (0 is idle; a bool is
+      not one);
     - every job gets exactly its WCET in units inside its frame;
     - no slot is idle while a job has work left (work conservation).
 
@@ -160,11 +181,13 @@ def validate_stack(
         ids = slots.ndim == 2 and slots.dtype.kind in "iu" and 0 <= slots.min() <= slots.max() <= n
     except ValueError:  # slots that are sequences of different lengths
         ids = False
-    if not ids:  # find the slots that are not task ids, row by row
-        for r in rows:
+    # NumPy reads a bool among ints as 0 or 1, so bools are found by type
+    if not ids or bool in set(map(type, chain.from_iterable(stack[r] for r in rows))):
+        for r in rows:  # find the slots that are not task ids, row by row
             errors[r] = [f"slot {t}: {s!r} is not a task id in 0..{n}"
                          for t, s in enumerate(stack[r])
-                         if not (isinstance(s, (int, np.integer)) and 0 <= s <= n)]
+                         if not (isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                                 and 0 <= s <= n)]
         rows = [r for r in rows if not errors[r]]
         slots = np.array([stack[r] for r in rows], dtype=np.int64).reshape(len(rows), length)
     pending = np.zeros(slots.shape, dtype=bool)

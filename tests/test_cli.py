@@ -25,7 +25,7 @@ from maars.cli import (
     prune_menus,
     write_ir_csv,
 )
-from maars.ladder import build_ladder, inferability_ratio
+from maars.ladder import aei_sizes, build_ladder, inferability_ratio
 from maars.schedgen import simulate_fixed_priority
 from maars.taskmodel import taskset_to_dict
 from maars.vulnerability import export_reports_csv, load_store
@@ -178,6 +178,10 @@ CORRUPT_STORE = {
     "store-period-outside-menu": move_task_1_to_period_20,
     "store-idle-while-ready": idle_earlier,
     "store-stale-taskset-hash": lambda d: d["pool"].update(taskset_hash="0" * 16),
+    # JSON true in place of task 1, which NumPy would read as 1
+    "store-bool-slot": lambda d: (slots := d["pool"]["schedules"][0]["slots"]).__setitem__(
+        slots.index(1), True
+    ),
 }
 # A JSON number too large for a float: ``to_json`` writes this string as the
 # bare literal 1e400, which reads back as inf.
@@ -760,7 +764,7 @@ def test_reports_match_golden(command, golden_stores, lu_ts, tmp_path):
 def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, tmp_path,
                                                  monkeypatch):
     """ir.csv holds the ladder of every (schedule, victim, attacker) triple,
-    built once per schedule, distinct victim row and attacker."""
+    folded once per period assignment, distinct victim row and attacker."""
     store = load_store(golden_stores / command / "store.json", lu_ts)
     victims, attackers = lu_ts.trusted, lu_ts.untrusted
     rows = {v.min_period for v in victims}
@@ -781,13 +785,14 @@ def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, 
 
     def counted(*args):
         calls.append(args)
-        return build_ladder(*args)
+        return aei_sizes(*args)
 
-    monkeypatch.setattr(maars.cli, "build_ladder", counted)
+    monkeypatch.setattr(maars.cli, "aei_sizes", counted)
     write_ir_csv(store, tmp_path / "ir.csv")
     with open(tmp_path / "ir.csv", newline="") as fh:
         assert list(csv.reader(fh)) == expected
-    assert len(calls) == len(store.schedules) * len(rows) * len(attackers)
+    specs = {s.spec for s in store.schedules}
+    assert len(calls) == len(specs) * len(rows) * len(attackers)
 
 
 def test_simulate_deploys_the_store_without_pruning(golden_stores, tmp_path, monkeypatch):

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maars.ladder import LadderView, build_ladder, inferability_ratio
+from maars.ladder import LadderView, aei_sizes, build_ladder, inferability_ratio
 from maars.schedgen import Schedule, simulate_fixed_priority
 from maars.taskmodel import TaskSpec, TrustedTask, UntrustedTask
 
@@ -136,6 +137,13 @@ def test_folding_matches_tiled_reference(case):
     tiled = reference_tile_timeline(
         sched, max(observation or 0, 2 * math.lcm(sched.length, row, period))
     )
-    assert build_ladder(sched, victim, attacker, observation) == reference_build_ladder(
-        tiled, victim, attacker, observation
-    )
+    expected = reference_build_ladder(tiled, victim, attacker, observation)
+    assert build_ladder(sched, victim, attacker, observation) == expected
+    if observation is None:  # the stack fold, on a stack of this schedule and its reverse
+        stack = np.array([slots, slots[::-1]])
+        reverse = reference_build_ladder(
+            reference_tile_timeline(synthetic(slots[::-1]), len(tiled)), victim, attacker
+        )
+        assert aei_sizes(stack, victim, attacker).tolist() == [
+            len(expected.aei), len(reverse.aei)
+        ]

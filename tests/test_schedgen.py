@@ -138,8 +138,10 @@ class TestValidator:
         errors = validate_schedule(minimal_ts, sched)
         assert errors
 
-    @pytest.mark.parametrize("slots", [(1, 2, 1, 9), (1, 2, 1, 2.5), (1, 2, 1, 3) * 2],
-                             ids=["slot-id-out-of-range", "slot-not-int", "two-hyper-periods"])
+    @pytest.mark.parametrize("slots", [(1, 2, 1, 9), (1, 2, 1, 2.5), (1, 2, 1, 3) * 2,
+                                       (True, 2, 1, 3)],
+                             ids=["slot-id-out-of-range", "slot-not-int", "two-hyper-periods",
+                                  "slot-bool"])
     def test_flags_malformed_schedule_without_raising(self, minimal_ts, spec2, slots):
         sched = Schedule(spec=spec2, slots=slots, provenance="exhaustive")
         assert validate_schedule(minimal_ts, sched)
