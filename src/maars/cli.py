@@ -14,18 +14,19 @@ takes is a usage error, exit 2):
   scripted attack scenario (deployment log, trace CSV, metrics JSON); it
   deploys the store of ``analyze`` or ``baseline`` as it was built.
 
-Exit codes: 0 success, 2 configuration error (a task-set, plant, scenario
-or store file that is missing, a directory, not UTF-8 JSON, not an object,
-or fails its checks, such as a store that belongs to another task set, a
-task set with no trusted task or whose criticalities all round to 0, or a
-detector window over the calibration draws; a scenario whose roles do not
-match the task set, a ``--store`` given to ``simulate --policy static``, a
-hyper-period over its bound, an exhaustive enumeration over its budget, a
-``--gamma`` whose per-step decay factor at some period rounds to 0 or 1, or
-an ``--out`` that cannot be written), 3 infeasible (unschedulable task
-set, no stabilizable period menu, a period whose gain synthesis meets a
-singular matrix or a singular residue covariance, an empty schedule store,
-or a store with no schedule to deploy first).
+Exit codes: 0 success; 2 configuration error, raised as ``ConfigError``
+or ``OSError`` (a task-set, plant, scenario or store file that is missing,
+a directory, not UTF-8 JSON, not an object, or fails its checks, such as a
+store that belongs to another task set, a task set with no trusted task or
+whose criticalities all round to 0, or a detector window over the
+calibration draws; a scenario whose roles do not match the task set, a
+``--store`` given to ``simulate --policy static``, a hyper-period over its
+bound, an exhaustive enumeration over its budget, a ``--gamma`` whose
+per-step decay factor at some period rounds to 0 or 1, or an ``--out``
+that cannot be written); 3 infeasible, raised as ``Infeasible``
+(unschedulable task set, no stabilizable period menu, a period whose gain
+synthesis meets a singular matrix or a singular residue covariance, an
+empty schedule store, or a store with no schedule to deploy first).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_DECAY_RATE, __version__, data_path
-from .control import NumericsError, PlantModel, design_loop, load_plant
+from .control import PlantModel, design_loop, load_plant
 from .cosim import AttackScenario, run_scenario, save_trace_csv
-from .kernel import BACKEND, BudgetExceeded, DeadlineMiss
+from .kernel import BACKEND
 from .ladder import aei_sizes, build_ladder, inferability_ratio
-from .runtime import EmptyCandidateSet, make_selector, save_log_csv
+from .runtime import make_selector, save_log_csv
 from .schedgen import (
     DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, stacks, unique,
 )
@@ -53,6 +54,7 @@ from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
 from .taskmodel import (
     ConfigError,
+    Infeasible,
     TaskSet,
     TaskSpec,
     TrustedTask,
@@ -77,10 +79,6 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-
-
-class Infeasible(Exception):
-    """Pipeline cannot proceed: unschedulable, unstable, or empty results."""
 
 
 def require_schedulable(taskset: TaskSet) -> None:
@@ -468,10 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, OSError, BudgetExceeded) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Infeasible, DeadlineMiss, NumericsError, EmptyCandidateSet) as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -1,6 +1,7 @@
 """Continuous LTI plant handling: per-period discretization, LQR/Kalman
 synthesis, augmented closed-loop assembly, and the windowed chi-square
-residue detector.
+residue detector. A period whose discretization or gain synthesis fails
+raises Infeasible.
 """
 
 from __future__ import annotations
@@ -12,21 +13,13 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .taskmodel import is_integer, is_real, load_json
+from .taskmodel import Infeasible, is_integer, is_real, load_json
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
 # nominal residues drawn to calibrate a detector threshold; a window longer
 # than this would average fewer windows than it spans
 CALIBRATION_DRAWS = 100_000
-
-
-class NumericsError(RuntimeError):
-    pass
-
-
-class PeriodRejected(NumericsError):
-    """Riccati iteration failed to converge or the gain is not stabilizing."""
 
 
 @dataclass
@@ -110,27 +103,28 @@ def discretize(plant: PlantModel, h: float) -> tuple[np.ndarray, np.ndarray]:
     E = expm(M * h)
     A_h, B_h = E[:n, :n], E[:n, n:]
     if not (np.all(np.isfinite(A_h)) and np.all(np.isfinite(B_h))):
-        raise NumericsError("non-finite entries in discretized matrices")
+        raise Infeasible("non-finite entries in discretized matrices")
     return A_h, B_h
 
 
-def _dare(A, B, Q, R, tol=DARE_TOL, max_iter=DARE_MAX_ITER):
-    """Fixed-point iteration for the discrete algebraic Riccati equation."""
+def _dare(A, B, Q, R):
+    """Fixed-point iteration for the discrete algebraic Riccati equation;
+    raises Infeasible when it diverges or does not converge."""
     P = Q.copy()
     # overflow on the divergent path is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             BtP = B.T @ P
             gain_term = np.linalg.solve(R + BtP @ B, BtP @ A)
             AtP = A.T @ P  # A.T @ P @ A groups as (A.T @ P) @ A
             P_next = Q + AtP @ A - AtP @ B @ gain_term
             P_next = (P_next + P_next.T) / 2
-            if np.max(np.abs(P_next - P)) < tol:
+            if np.max(np.abs(P_next - P)) < DARE_TOL:
                 return P_next
             if not np.all(np.isfinite(P_next)):
-                raise PeriodRejected("Riccati iteration diverged")
+                raise Infeasible("Riccati iteration diverged")
             P = P_next
-    raise PeriodRejected("Riccati iteration did not converge")
+    raise Infeasible("Riccati iteration did not converge")
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -142,11 +136,11 @@ def dare_residual(A, B, Q, R, P) -> float:
 def lqr_gain(plant: PlantModel, A_h: np.ndarray, B_h: np.ndarray) -> np.ndarray:
     """Steady-state LQR gain K with u = -K x for the discretized pair."""
     if not np.any(B_h):
-        raise PeriodRejected("input matrix is zero: no actuation authority")
+        raise Infeasible("input matrix is zero: no actuation authority")
     P = _dare(A_h, B_h, plant.Q, plant.R)
     K = np.linalg.solve(plant.R + B_h.T @ P @ B_h, B_h.T @ P @ A_h)
     if np.max(np.abs(np.linalg.eigvals(A_h - B_h @ K))) >= 1.0:
-        raise PeriodRejected("LQR closed loop is not Schur stable")
+        raise Infeasible("LQR closed loop is not Schur stable")
     return K
 
 
@@ -193,7 +187,7 @@ def design_loop(plant: PlantModel, period_slots: int, delta: float) -> Discretiz
         K = lqr_gain(plant, A_h, B_h)
         L, innovation, innovation_inv = kalman_gain(plant, A_h)
     except np.linalg.LinAlgError as exc:  # a singular solve or covariance
-        raise PeriodRejected(f"period {period_slots}: {exc}") from exc
+        raise Infeasible(f"period {period_slots}: {exc}") from exc
     return DiscretizedLoop(
         A=A_h,
         B=B_h,

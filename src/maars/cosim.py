@@ -351,7 +351,7 @@ def victim_columns(norm: float, u: float, g: float, alarmed: bool) -> str:
     return f",{norm!r},{u!r},{g!r},{int(alarmed)}"
 
 
-def trace_line(time_s: float, running: int, victim_text: str = "") -> str:
+def trace_line(time_s: float, running: int, victim_text: str) -> str:
     """One finished trace row: the bytes ``csv.writer`` writes for
     ``(time_s, running, *victim columns)``."""
     return f"{time_s!r},{running}{victim_text}\r\n"

@@ -27,6 +27,8 @@ from itertools import accumulate, chain, count
 
 import numpy as np
 
+from .taskmodel import ConfigError, Infeasible
+
 # The only implementation; summary.txt and benchmark records name it.
 BACKEND = "pure"
 
@@ -45,14 +47,8 @@ _SHUFFLE_SALT = 0xD6E8FEB86659FD93
 _AWARE_SALT = 0xA3C59AC2ED1097E5
 
 
-class DeadlineMiss(Exception):
-    def __init__(self, task_id: int, slot: int):
-        super().__init__(f"task {task_id} missed a deadline at slot {slot}")
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, partial_count: int):
-        super().__init__(f"enumeration budget exhausted after {partial_count} schedules")
+def _deadline_miss(task_id: int, slot: int) -> Infeasible:
+    return Infeasible(f"task {task_id} missed a deadline at slot {slot}")
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -87,7 +83,7 @@ def _stream(state: int):
 def simulate_fp(periods, wcets, l):
     """Deterministic fixed-priority preemptive schedule, synchronous release.
 
-    Returns the slot array over [0, l). Raises DeadlineMiss if the spec is
+    Returns the slot array over [0, l). Raises Infeasible if the spec is
     infeasible.
     """
     n = len(periods)
@@ -97,7 +93,7 @@ def simulate_fp(periods, wcets, l):
         for i in range(n):
             if t % periods[i] == 0:
                 if rem[i] > 0:
-                    raise DeadlineMiss(i + 1, t)
+                    raise _deadline_miss(i + 1, t)
                 rem[i] = wcets[i]
         for i in range(n):
             if rem[i] > 0:
@@ -106,7 +102,7 @@ def simulate_fp(periods, wcets, l):
                 break
     for i in range(n):
         if rem[i] > 0:
-            raise DeadlineMiss(i + 1, l)
+            raise _deadline_miss(i + 1, l)
     return slots
 
 
@@ -211,7 +207,7 @@ def _draw(periods, wcets, aews, n_trusted, l, state):
     """
     tab = _tables(tuple(periods), tuple(wcets), l)
     if tab.overload:
-        raise DeadlineMiss(*tab.overload)
+        raise _deadline_miss(*tab.overload)
     releases, next_release = tab.releases, tab.next_release
     base, window_min = tab.base, tab.window_min
     n = len(periods)
@@ -259,7 +255,7 @@ def shuffle(periods, wcets, l, seed):
 
     Uniformity comes from testing candidates in Fisher-Yates order and taking
     the first feasible one. Work-conserving: idles only with no job ready.
-    Raises DeadlineMiss if total utilization exceeds 1.
+    Raises Infeasible if total utilization exceeds 1.
     """
     return _draw(periods, wcets, (), 0, l, (seed ^ _SHUFFLE_SALT) & MASK64)
 
@@ -282,7 +278,7 @@ def enumerate_all(periods, wcets, l, budget):
 
     Returns the list of all feasible work-conserving slot arrays (none when
     total utilization exceeds 1). ``budget`` caps the number of completed
-    schedules; raises BudgetExceeded beyond it. Distinct choice sequences
+    schedules; raises ConfigError beyond it. Distinct choice sequences
     yield distinct slot arrays, so no dedup pass is needed.
     """
     tab = _tables(tuple(periods), tuple(wcets), l)
@@ -296,7 +292,8 @@ def enumerate_all(periods, wcets, l, budget):
     def step(t):
         if t == l:
             if len(results) >= budget:
-                raise BudgetExceeded(len(results))
+                raise ConfigError(
+                    f"enumeration budget exhausted after {len(results)} schedules")
             results.append(tuple(slots))
             return
         for i in tab.releases[t]:

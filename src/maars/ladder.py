@@ -33,7 +33,6 @@ from .taskmodel import TrustedTask, UntrustedTask
 class LadderView:
     aai: frozenset[int]
     aei: frozenset[int]
-    conclusive: bool
 
 
 @lru_cache(maxsize=256)
@@ -66,38 +65,29 @@ def _executed_columns(stack: np.ndarray, row: int, window: int, attacker_id: int
     return runs[:, fold(row, window, length)].any(axis=1)
 
 
-def build_ladder(
-    sched: Schedule,
-    victim: TrustedTask,
-    attacker: UntrustedTask,
-    observation_slots: int | None = None,
-) -> LadderView:
+def build_ladder(sched: Schedule, victim: TrustedTask, attacker: UntrustedTask) -> LadderView:
     """Fold ``sched`` against the victim's minimum period; slot t of the
     observation is slot t mod L of the hyper-period L.
 
     The attacker knows its own arrival times (periodic from slot 0) and
     observes only its own executed slots; both are reduced modulo the row
-    length. The default window covers two repetitions of lcm(row, attacker
-    period); a window shorter than one is flagged inconclusive.
+    length. The window covers two repetitions of lcm(row, attacker period).
 
     The AEI is read from the attacker's slots through ``fold``.
     """
     row = victim.min_period
-    repetition = math.lcm(row, attacker.period)
-    if observation_slots is None:
-        observation_slots = 2 * repetition
+    window = 2 * math.lcm(row, attacker.period)
     stack = np.array([sched.slots], dtype=np.int64)
-    columns = _executed_columns(stack, row, observation_slots, attacker.id)[0]
+    columns = _executed_columns(stack, row, window, attacker.id)[0]
     return LadderView(
-        aai=_arrival_columns(row, attacker.period, observation_slots),
+        aai=_arrival_columns(row, attacker.period, window),
         aei=frozenset(np.flatnonzero(columns).tolist()),
-        conclusive=observation_slots >= repetition,
     )
 
 
 def aei_sizes(stack: np.ndarray, victim: TrustedTask, attacker: UntrustedTask) -> np.ndarray:
-    """|AEI| of the default-window ladder (``build_ladder``) of each schedule
-    of the (k, L) slot array ``stack``."""
+    """|AEI| of the ladder (``build_ladder``) of each schedule of the (k, L)
+    slot array ``stack``."""
     row = victim.min_period
     window = 2 * math.lcm(row, attacker.period)
     return np.count_nonzero(_executed_columns(stack, row, window, attacker.id), axis=1)

@@ -3,8 +3,9 @@
 Normal mode draws uniformly among the store indices with SVI below the
 vulnerability threshold; an alarm on task i switches to Alert mode, which
 draws from the per-victim lookup table (AP < TAP_i) until the alarm has
-stayed clear for a configurable number of hyper-periods. Consecutive
-deployments never repeat when at least two candidates exist.
+stayed clear for ``ALERT_EXIT_AFTER`` hyper-periods. Consecutive
+deployments never repeat when at least two candidates exist. A first
+selection with no candidate raises Infeasible.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kernel import splitmix64
-from .taskmodel import TaskSet
+from .taskmodel import Infeasible, TaskSet
 from .vulnerability import ScheduleStore
 
 log = logging.getLogger(__name__)
 
-
-class EmptyCandidateSet(RuntimeError):
-    pass
+# clear hyper-periods after which alert mode returns to normal mode
+ALERT_EXIT_AFTER = 3
 
 
 @dataclass
@@ -51,7 +51,6 @@ class CounterRng:
 class SelectorState:
     store: ScheduleStore
     rng: CounterRng
-    alert_exit_after: int = 3
     current: int = -1
     alert_task: int = 0  # 0 = normal mode
     clear_streak: int = 0
@@ -62,8 +61,8 @@ class SelectorState:
         return "normal" if self.alert_task == 0 else f"alert:{self.alert_task}"
 
 
-def make_selector(store: ScheduleStore, seed: int, alert_exit_after: int = 3) -> SelectorState:
-    return SelectorState(store=store, rng=CounterRng(seed), alert_exit_after=alert_exit_after)
+def make_selector(store: ScheduleStore, seed: int) -> SelectorState:
+    return SelectorState(store=store, rng=CounterRng(seed))
 
 
 def resolve_flag(taskset: TaskSet, alarmed_ids: list[int]) -> int:
@@ -101,7 +100,7 @@ def sched_sel(state: SelectorState, atk_flag: int) -> int:
         state.clear_streak = 0
     elif state.alert_task != 0:
         state.clear_streak += 1
-        if state.clear_streak >= state.alert_exit_after:
+        if state.clear_streak >= ALERT_EXIT_AFTER:
             state.alert_task = 0
             state.clear_streak = 0
 
@@ -109,7 +108,7 @@ def sched_sel(state: SelectorState, atk_flag: int) -> int:
         candidates = store.lut[state.alert_task]
         if not candidates:
             if state.current < 0:
-                raise EmptyCandidateSet(f"LUT row {state.alert_task} is empty")
+                raise Infeasible(f"LUT row {state.alert_task} is empty")
             log.error(
                 "alert mode for task %d has no candidate schedules; holding index %d",
                 state.alert_task,
@@ -119,7 +118,7 @@ def sched_sel(state: SelectorState, atk_flag: int) -> int:
     else:
         if store.k_threshold == 0:
             if state.current < 0:
-                raise EmptyCandidateSet("no schedule with SVI below the threshold")
+                raise Infeasible("no schedule with SVI below the threshold")
             log.error("normal mode has no candidate schedules; holding index %d", state.current)
             return state.current
         candidates = list(range(store.k_threshold))
@@ -132,9 +131,9 @@ def run_epoch(state: SelectorState, world, epochs: int) -> list[LogEntry]:
     """Deploy/simulate/select loop.
 
     ``world`` must provide run_hyper_period(schedule) -> flag (0 or the
-    alarmed trusted task id). Selection for the next epoch happens at each
-    hyper-period boundary. A world whose ``diverged`` attribute turns true
-    ends the loop after that epoch is logged.
+    alarmed trusted task id) and ``diverged``, which ends the loop after the
+    epoch in which it turns true is logged. Selection for the next epoch
+    happens at each hyper-period boundary.
     """
     if state.current < 0:
         sched_sel(state, 0)
@@ -151,7 +150,7 @@ def run_epoch(state: SelectorState, world, epochs: int) -> list[LogEntry]:
                 flag=flag,
             )
         )
-        if getattr(world, "diverged", False):
+        if world.diverged:
             break
         sched_sel(state, flag)
         if state.current == before:

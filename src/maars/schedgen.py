@@ -148,8 +148,8 @@ def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
     - each trusted task's period comes from its menu, and each untrusted
       task keeps its own period;
     - the length is the hyper-period of those periods;
-    - every slot is an integer task id in 0..n_tasks (0 is idle; a bool is
-      not one);
+    - every slot is a task id in 0..n_tasks (0 is idle) of type ``int``,
+      as JSON and the kernel give it: a bool or a NumPy integer is not one;
     - every job gets exactly its WCET in units inside its frame;
     - no slot is idle while a job has work left (work conservation).
 
@@ -163,7 +163,8 @@ def validate_stack(
     taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
 ) -> list[list[str]]:
     """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``.
-    The frame rules run once, on the (k, L) array of the k that pass the rest."""
+    Each slot is checked once, and the frame rules run once, on the (k, L)
+    array of the k that pass the rest."""
     periods, n = spec.all_periods(), taskset.n_tasks
     if not (
         len(spec.periods) == len(taskset.trusted)
@@ -173,23 +174,13 @@ def validate_stack(
         return [[f"periods {list(periods)}: a trusted period outside its menu or a "
                  "changed untrusted period"] for _ in stack]
     length = math.lcm(*periods)
-    errors = [[] if len(s) == length else [f"length {len(s)}, not the hyper-period {length}"]
+    errors = [[f"slot {t}: {x!r} is not a task id in 0..{n}"
+               for t, x in enumerate(s) if not (type(x) is int and 0 <= x <= n)]
+              if len(s) == length else [f"length {len(s)}, not the hyper-period {length}"]
               for s in stack]
     rows = [r for r, e in enumerate(errors) if not e]
-    try:
-        slots = np.array([stack[r] for r in rows])
-        ids = slots.ndim == 2 and slots.dtype.kind in "iu" and 0 <= slots.min() <= slots.max() <= n
-    except ValueError:  # slots that are sequences of different lengths
-        ids = False
-    # NumPy reads a bool among ints as 0 or 1, so bools are found by type
-    if not ids or bool in set(map(type, chain.from_iterable(stack[r] for r in rows))):
-        for r in rows:  # find the slots that are not task ids, row by row
-            errors[r] = [f"slot {t}: {s!r} is not a task id in 0..{n}"
-                         for t, s in enumerate(stack[r])
-                         if not (isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                                 and 0 <= s <= n)]
-        rows = [r for r in rows if not errors[r]]
-        slots = np.array([stack[r] for r in rows], dtype=np.int64).reshape(len(rows), length)
+    flat = chain.from_iterable(stack[r] for r in rows)
+    slots = np.fromiter(flat, np.int32, len(rows) * length).reshape(len(rows), length)
     pending = np.zeros(slots.shape, dtype=bool)
     for task_id, (p, wcet) in enumerate(zip(periods, taskset.wcets), start=1):
         runs = (slots == task_id).reshape(len(rows), length // p, p)

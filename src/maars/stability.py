@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 FEAS_TOL = 1e-8
 PD_MARGIN = 1e-6
 DEFAULT_SWEEPS = 20_000
+# longest switching sequence searched for an unstable product
+WITNESS_LENGTH = 4
 
 
 def decay_alpha(gamma: float, h: float) -> float:
@@ -52,13 +54,14 @@ def verify_certificate(matrices, alphas, P: np.ndarray):
     return min_eig, residual
 
 
-def _unstable_product_witness(matrices, max_len=4, margin=1e-12) -> str | None:
-    """Search short switching sequences for a product with spectral radius
-    > 1 + ``margin``: such a sequence defeats any common Lyapunov function.
+def _unstable_product_witness(matrices, margin=1e-12) -> str | None:
+    """Search switching sequences of up to WITNESS_LENGTH matrices for a
+    product with spectral radius > 1 + ``margin``: such a sequence defeats
+    any common Lyapunov function.
     The products of one length share one batched eigenvalue call; the witness
     is the first in ``itertools.product`` order."""
     n = len(matrices)
-    for length in range(1, max_len + 1):
+    for length in range(1, WITNESS_LENGTH + 1):
         combos = list(itertools.product(range(n), repeat=length))
         prods = []
         for combo in combos:

@@ -21,12 +21,17 @@ from typing import Callable, Mapping, TypeVar
 SCHEMA_VERSION = 1
 
 # Guard against pathological period menus blowing up the hyper-period.
-DEFAULT_LCM_BOUND = 10**9
+LCM_BOUND = 10**9
 
 
 class ConfigError(ValueError):
-    """An input file or a record built from one violates the schema or an
-    invariant."""
+    """Bad input, exit 2: an input file or a record built from one violates
+    the schema or an invariant, or a request exceeds a documented bound."""
+
+
+class Infeasible(Exception):
+    """The input is valid but admits no result, exit 3: an unschedulable
+    task set, an unstabilizable period, or no schedule to deploy."""
 
 
 def is_integer(value) -> bool:
@@ -230,11 +235,11 @@ def is_schedulable(taskset: TaskSet, spec: TaskSpec) -> bool:
     return all(wcrt(taskset, spec, i) is not None for i in range(1, taskset.n_tasks + 1))
 
 
-def hyper_period(spec: TaskSpec, lcm_bound: int = DEFAULT_LCM_BOUND) -> int:
+def hyper_period(spec: TaskSpec) -> int:
     """LCM over all periods in the spec (trusted choices + untrusted)."""
     result = math.lcm(*spec.all_periods())
-    if result > lcm_bound:
-        raise ConfigError(f"hyper-period {result} exceeds bound {lcm_bound}")
+    if result > LCM_BOUND:
+        raise ConfigError(f"hyper-period {result} exceeds bound {LCM_BOUND}")
     return result
 
 

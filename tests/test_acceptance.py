@@ -17,7 +17,6 @@ from maars.control import (
     _dare,
 )
 from maars.cosim import AttackScenario, run_scenario
-from maars.kernel import DeadlineMiss
 from maars.ladder import build_ladder, inferability_ratio
 from maars.runtime import make_selector, sched_sel
 from maars.schedgen import (
@@ -27,7 +26,7 @@ from maars.schedgen import (
     simulate_fixed_priority,
 )
 from maars.stability import decay_alpha, find_cqlf, verify_certificate
-from maars.taskmodel import TaskSpec, enumerate_specs, is_schedulable, wcrt
+from maars.taskmodel import Infeasible, TaskSpec, enumerate_specs, is_schedulable, wcrt
 from maars.vulnerability import (
     analyze,
     attack_count,
@@ -102,7 +101,7 @@ def test_criterion_05_wcrt_matches_simulation(minimal_ts, ladder_ts, lu_ts, hu_t
         for spec in enumerate_specs(ts):
             try:
                 sched = simulate_fixed_priority(ts, spec)
-            except DeadlineMiss:
+            except Infeasible:
                 assert not is_schedulable(ts, spec), spec
                 continue
             assert is_schedulable(ts, spec), spec

@@ -6,13 +6,13 @@ import pytest
 
 from maars.runtime import (
     CounterRng,
-    EmptyCandidateSet,
     make_selector,
     resolve_flag,
     run_epoch,
     save_log_csv,
     sched_sel,
 )
+from maars.taskmodel import Infeasible
 
 
 class TestCounterRng:
@@ -63,7 +63,7 @@ class TestSchedSel:
             prev = idx
 
     def test_alert_exit_after_clear_streak(self, minimal_store):
-        state = make_selector(minimal_store, seed=4, alert_exit_after=3)
+        state = make_selector(minimal_store, seed=4)
         sched_sel(state, 1)
         assert state.mode == "alert:1"
         sched_sel(state, 0)
@@ -73,7 +73,7 @@ class TestSchedSel:
         assert state.mode == "normal"
 
     def test_realert_resets_streak(self, minimal_store):
-        state = make_selector(minimal_store, seed=5, alert_exit_after=2)
+        state = make_selector(minimal_store, seed=5)
         sched_sel(state, 1)
         sched_sel(state, 0)
         sched_sel(state, 2)  # new alarm before exit
@@ -101,7 +101,8 @@ class TestSchedSel:
         store = copy.copy(minimal_store)
         store.k_threshold = 0
         state = make_selector(store, seed=0)
-        with pytest.raises(EmptyCandidateSet):
+        with pytest.raises(Infeasible,
+                           match="no schedule with SVI below the threshold"):
             sched_sel(state, 0)
 
 
@@ -112,6 +113,7 @@ class _ScriptedWorld:
         self.alarm_epochs = set(alarm_epochs)
         self.flag = flag
         self.epoch = 0
+        self.diverged = False
 
     def run_hyper_period(self, schedule):
         flag = self.flag if self.epoch in self.alarm_epochs else 0
