@@ -144,11 +144,14 @@ def prune_menus(
         record: dict = {"input": menu}
         if t.plant is not None:
             plant = plants[t.plant]
-            kept = prune_performance(
-                build_matrix=lambda p: design_loop(plant, p, taskset.delta).closed_loop,
-                candidate_periods=menu,
-                alpha_of=lambda p: decay_alpha(gamma, p * taskset.delta),
-            )
+            try:
+                kept = prune_performance(
+                    build_matrix=lambda p: design_loop(plant, p, taskset.delta).closed_loop,
+                    candidate_periods=menu,
+                    alpha_of=lambda p: decay_alpha(gamma, p * taskset.delta),
+                )
+            except Infeasible as exc:
+                raise Infeasible(f"task {t.id}: {exc}") from exc
             if not kept:
                 raise Infeasible(
                     f"task {t.id}: no stabilizable period subset (plant {t.plant})"

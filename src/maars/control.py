@@ -127,12 +127,6 @@ def _dare(A, B, Q, R):
     raise Infeasible("Riccati iteration did not converge")
 
 
-def dare_residual(A, B, Q, R, P) -> float:
-    BtP = B.T @ P
-    res = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(R + BtP @ B, BtP @ A) + Q
-    return float(np.max(np.abs(res)))
-
-
 def lqr_gain(plant: PlantModel, A_h: np.ndarray, B_h: np.ndarray) -> np.ndarray:
     """Steady-state LQR gain K with u = -K x for the discretized pair."""
     if not np.any(B_h):
@@ -182,12 +176,14 @@ class DiscretizedLoop:
 
 
 def design_loop(plant: PlantModel, period_slots: int, delta: float) -> DiscretizedLoop:
-    A_h, B_h = discretize(plant, period_slots * delta)
+    """The loop of ``plant`` at ``period_slots`` slots; a failed step (also a
+    singular solve or covariance) raises Infeasible naming plant and period."""
     try:
+        A_h, B_h = discretize(plant, period_slots * delta)
         K = lqr_gain(plant, A_h, B_h)
         L, innovation, innovation_inv = kalman_gain(plant, A_h)
-    except np.linalg.LinAlgError as exc:  # a singular solve or covariance
-        raise Infeasible(f"period {period_slots}: {exc}") from exc
+    except (Infeasible, np.linalg.LinAlgError) as exc:
+        raise Infeasible(f"plant {plant.name}, period {period_slots}: {exc}") from exc
     return DiscretizedLoop(
         A=A_h,
         B=B_h,
@@ -227,29 +223,15 @@ class Detector:
         return self.g, self.g > self.threshold
 
 
-def _nominal_statistic(sigma_res, sigma_inv, window: int, seed: int) -> np.ndarray:
-    """The windowed statistic over CALIBRATION_DRAWS nominal Gaussian
-    residues of covariance ``sigma_res`` drawn with ``seed``, normalized by
-    ``sigma_inv``."""
-    rng = np.random.default_rng(seed)
-    res = rng.multivariate_normal(np.zeros(len(sigma_res)), sigma_res, size=CALIBRATION_DRAWS)
-    z = np.einsum("ij,jk,ik->i", res, sigma_inv, res)
-    return np.convolve(z, np.ones(window) / window, mode="valid")
-
-
 def calibrate_threshold(loop: DiscretizedLoop, window: int, far_target: float) -> float:
     """Monte-Carlo threshold for a desired false-alarm rate under nominal
     Gaussian residues of ``loop``: the (1 - far) quantile of the windowed
-    statistic."""
-    statistic = _nominal_statistic(loop.innovation_cov, loop.innovation_inv, window, seed=0)
+    statistic over CALIBRATION_DRAWS residues drawn with seed 0."""
+    rng, cov = np.random.default_rng(0), loop.innovation_cov
+    res = rng.multivariate_normal(np.zeros(len(cov)), cov, size=CALIBRATION_DRAWS)
+    z = np.einsum("ij,jk,ik->i", res, loop.innovation_inv, res)
+    statistic = np.convolve(z, np.ones(window) / window, mode="valid")
     return float(np.quantile(statistic, 1.0 - far_target))
-
-
-def measure_far(sigma_res: np.ndarray, window: int, threshold: float) -> float:
-    """Empirical false-alarm rate of the windowed detector on fresh noise,
-    inverting ``sigma_res`` itself."""
-    statistic = _nominal_statistic(sigma_res, np.linalg.inv(sigma_res), window, seed=1)
-    return float(np.mean(statistic > threshold))
 
 
 # ---------------------------------------------------------------------------

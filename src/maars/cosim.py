@@ -25,7 +25,7 @@ from .control import (
 )
 from .runtime import SelectorState, resolve_flag, run_epoch
 from .schedgen import Schedule
-from .taskmodel import ConfigError, TaskSet, TrustedTask, is_integer, is_real
+from .taskmodel import ConfigError, Infeasible, TaskSet, TrustedTask, is_integer, is_real
 from .vulnerability import exposure_windows
 
 DIVERGENCE_BOUND = 1e6
@@ -76,9 +76,12 @@ class ControlLoopSim:
     def __init__(self, task: TrustedTask, plant: PlantModel, delta: float):
         self.task = task
         self.plant = plant
-        self.loops: dict[int, DiscretizedLoop] = {
-            p: design_loop(plant, p, delta) for p in task.period_menu
-        }
+        try:
+            self.loops: dict[int, DiscretizedLoop] = {
+                p: design_loop(plant, p, delta) for p in task.period_menu
+            }
+        except Infeasible as exc:
+            raise Infeasible(f"task {task.id}: {exc}") from exc
         # -K per period: ``-K @ xhat`` parses as ``(-K) @ xhat``
         self.neg_gains = {p: -loop.K for p, loop in self.loops.items()}
         n = plant.n_states

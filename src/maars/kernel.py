@@ -10,11 +10,11 @@ That is decided by the processor-demand criterion (Baruah, Rosier & Howell,
 Real-Time Systems 1990) on a table precomputed per task set, so a choice
 costs no lookahead simulation.
 
-The randomized draws take their Fisher-Yates numbers from a SplitMix64
+The randomized draws (and the runtime selector's) come from a SplitMix64
 stream. SplitMix64 is counter-based (Steele, Lea & Flood, OOPSLA 2014):
 output k of state s is a mix of s + k * gamma mod 2**64 alone, so the
 stream is computed in fixed-size NumPy ``uint64`` blocks, bit for bit the
-outputs of repeated ``splitmix64`` steps.
+outputs of sequential SplitMix64 steps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 # few dozen
 _BLOCK = 128
 _OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-# splitmix64's shifts and multipliers as NumPy scalars (a Python int operand
+# SplitMix64's shifts and multipliers as NumPy scalars (a Python int operand
 # is converted again on every operation)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -51,18 +51,9 @@ def _deadline_miss(task_id: int, slot: int) -> Infeasible:
     return Infeasible(f"task {task_id} missed a deadline at slot {slot}")
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One step of SplitMix64; returns (new_state, output)."""
-    state = (state + _GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
-
-
 def _stream_block(state: int) -> list[int]:
-    """The ``_BLOCK`` outputs of ``splitmix64`` stepped from ``state``: output
-    k mixes state + k * gamma mod 2**64 alone."""
+    """The ``_BLOCK`` SplitMix64 outputs that follow ``state``: output k
+    mixes state + k * gamma mod 2**64 alone."""
     z = _OFFSETS + np.uint64(state & MASK64)
     z ^= z >> _S30
     z *= _M1
@@ -72,11 +63,12 @@ def _stream_block(state: int) -> list[int]:
     return z.tolist()
 
 
-def _stream(state: int):
-    """Iterator over the outputs of ``splitmix64`` stepped from ``state``,
-    computed a block at a time when first asked for. A block's arrays die
-    inside ``_stream_block``: kept alive while the slot loop allocated, they
-    fragmented the heap (+0.5 MB peak RSS over 4000 LU schedules)."""
+def splitmix64_stream(state: int):
+    """Iterator over the SplitMix64 outputs of ``state`` (taken modulo
+    2**64), computed a block at a time when first asked for. A block's
+    arrays die inside ``_stream_block``: kept alive while the slot loop
+    allocated, they fragmented the heap (+0.5 MB peak RSS over 4000 LU
+    schedules)."""
     return chain.from_iterable(map(_stream_block, count(state, _BLOCK * _GAMMA)))
 
 
@@ -211,7 +203,7 @@ def _draw(periods, wcets, aews, n_trusted, l, state):
     releases, next_release = tab.releases, tab.next_release
     base, window_min = tab.base, tab.window_min
     n = len(periods)
-    draws = _stream(state)
+    draws = splitmix64_stream(state)
     rem = [0] * n
     active: list = []  # ascending: the tasks whose current job has work left
     slots = [0] * l

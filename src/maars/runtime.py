@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .kernel import splitmix64
+from .kernel import splitmix64_stream
 from .taskmodel import Infeasible, TaskSet
 from .vulnerability import ScheduleStore
 
@@ -35,22 +36,10 @@ class LogEntry:
     held: bool = False  # true when no alternative candidate existed
 
 
-class CounterRng:
-    """Seeded 64-bit counter RNG with plain modulo reduction (the modulo
-    bias is irrelevant at these candidate counts)."""
-
-    def __init__(self, seed: int):
-        self.state = seed & ((1 << 64) - 1)
-
-    def below(self, n: int) -> int:
-        self.state, z = splitmix64(self.state)
-        return z % n
-
-
 @dataclass
 class SelectorState:
     store: ScheduleStore
-    rng: CounterRng
+    draws: Iterator[int]  # the SplitMix64 stream of the selector's seed
     current: int = -1
     alert_task: int = 0  # 0 = normal mode
     clear_streak: int = 0
@@ -62,7 +51,7 @@ class SelectorState:
 
 
 def make_selector(store: ScheduleStore, seed: int) -> SelectorState:
-    return SelectorState(store=store, rng=CounterRng(seed))
+    return SelectorState(store=store, draws=splitmix64_stream(seed))
 
 
 def resolve_flag(taskset: TaskSet, alarmed_ids: list[int]) -> int:
@@ -77,13 +66,15 @@ def resolve_flag(taskset: TaskSet, alarmed_ids: list[int]) -> int:
 
 
 def _draw(state: SelectorState, candidates: list[int]) -> int:
-    """Uniform draw from ``candidates``, redrawn while it equals the current
-    index. A single candidate equal to the current one is redeployed (the
-    redraw loop would never terminate otherwise)."""
+    """Uniform draw from ``candidates`` (the next stream output modulo their
+    number; the modulo bias is irrelevant at these candidate counts),
+    redrawn while it equals the current index. A single candidate equal to
+    the current one is redeployed (the redraw loop would never terminate
+    otherwise)."""
     if len(candidates) == 1:
         return candidates[0]
     while True:
-        idx = candidates[state.rng.below(len(candidates))]
+        idx = candidates[next(state.draws) % len(candidates)]
         if idx != state.current:
             return idx
 

@@ -9,35 +9,25 @@ against each untrusted task tau_j with execution time e_j:
                                  the inferability ratio versus running at p;
   * otherwise inadmissible.
 
-The strict verdict implies the relaxed one.
+Strict implies relaxed, and k' = p' mod p is never above p-1, so p' is
+admissible (strict or relaxed) exactly when p' mod p >= e_j.
 """
 
 from __future__ import annotations
 
 import logging
-from enum import Enum
 
 from .taskmodel import TrustedTask, UntrustedTask
 
 log = logging.getLogger(__name__)
 
 
-class Verdict(Enum):
-    STRICT = "strict"
-    RELAXED = "relaxed"
-    INADMISSIBLE = "inadmissible"
-
-
-def admissible(p_prime: int, p_base: int, attacker: UntrustedTask) -> Verdict:
-    """Classify candidate period p' > p_base against one untrusted task."""
+def admissible(p_prime: int, p_base: int, attacker: UntrustedTask) -> bool:
+    """Whether candidate period p' > p_base is admissible against one
+    untrusted task."""
     if p_prime <= p_base:
         raise ValueError(f"candidate {p_prime} must exceed base period {p_base}")
-    k = p_prime % p_base
-    if k == attacker.wcet:
-        return Verdict.STRICT
-    if attacker.wcet <= k <= p_base - 1:
-        return Verdict.RELAXED
-    return Verdict.INADMISSIBLE
+    return p_prime % p_base >= attacker.wcet
 
 
 def prune_security(
@@ -45,17 +35,15 @@ def prune_security(
     performance_periods: list[int],
     untrusted: list[UntrustedTask],
 ) -> list[int]:
-    """Keep the base period plus the candidates that are at least
-    relaxed-admissible for every untrusted task (the designer does not know
-    which one is compromised)."""
+    """Keep the base period plus the candidates that are admissible for
+    every untrusted task (the designer does not know which one is
+    compromised)."""
     base = task.min_period
     if base not in performance_periods:
         raise ValueError(f"task {task.id}: base period missing from candidates")
     kept = [base]
     for p in sorted(performance_periods):
-        if p != base and all(
-            admissible(p, base, u) is not Verdict.INADMISSIBLE for u in untrusted
-        ):
+        if p != base and all(admissible(p, base, u) for u in untrusted):
             kept.append(p)
     if len(kept) == 1 and len(performance_periods) > 1:
         log.warning(

@@ -10,10 +10,8 @@ import numpy as np
 from maars.cli import feasible_specs, prune_menus
 from maars.control import (
     calibrate_threshold,
-    dare_residual,
     design_loop,
     discretize,
-    measure_far,
     _dare,
 )
 from maars.cosim import AttackScenario, run_scenario
@@ -35,6 +33,7 @@ from maars.vulnerability import (
     svi,
     svt,
 )
+from oracles import dare_residual, measure_far
 
 
 def test_criterion_01_exhaustive_count_and_vulnerable_share(minimal_ts):

@@ -373,6 +373,29 @@ def bad_input_argv(case: str, stores, tmp_path) -> list[str]:
     return [*static, "--scenario", str(scenario)]
 
 
+# the commands that design the control loops of automotive_lu
+LOOP_DESIGN_COMMANDS = pytest.mark.parametrize("argv", [
+    ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
+], ids=lambda argv: argv[0])
+
+
+def loop_design_error(argv: list[str], tmp_path, capsys, **cc) -> str:
+    """Standard error of ``argv`` on automotive_lu with the bundled plants,
+    the cc plant's matrices replaced by ``cc``; asserts exit 3 and no
+    output directory."""
+    plants, out = tmp_path / "plants", tmp_path / "out"
+    plants.mkdir()
+    for src in data_path("plants").glob("*.json"):
+        plant = json.loads(src.read_text())
+        if plant["name"] == "cc":
+            plant.update(cc)
+        (plants / src.name).write_text(json.dumps(plant))
+    argv = [*argv, "--taskset", "automotive_lu", "--plants", str(plants), "--out", str(out)]
+    assert main(argv) == EXIT_INFEASIBLE
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 class TestExitCodes:
     """Every exit 2 or 3 also leaves no --out directory behind."""
 
@@ -453,44 +476,31 @@ class TestExitCodes:
         assert "criticalities all round to 0" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
-    ], ids=lambda argv: argv[0])
+    @LOOP_DESIGN_COMMANDS
     def test_singular_synthesis_is_infeasible(self, argv, tmp_path, capsys):
         """A plant whose Kalman synthesis solves a singular system (no
         measurement and no measurement noise) rejects the period: exit 3."""
-        plants, out = tmp_path / "plants", tmp_path / "out"
-        plants.mkdir()
-        for src in data_path("plants").glob("*.json"):
-            plant = json.loads(src.read_text())
-            if plant["name"] == "cc":
-                plant.update(C=[[0.0]], V=[[0.0]])
-            (plants / src.name).write_text(json.dumps(plant))
-        argv = [*argv, "--taskset", "automotive_lu", "--plants", str(plants), "--out", str(out)]
-        assert main(argv) == EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert err == "infeasible: period 10: Singular matrix\n"
-        assert not out.exists()
+        assert loop_design_error(argv, tmp_path, capsys, C=[[0.0]], V=[[0.0]]) == (
+            "infeasible: task 3: plant cc, period 10: Singular matrix\n"
+        )
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--seeds", "1"], ["simulate", "--policy", "static", "--epochs", "1"],
-    ], ids=lambda argv: argv[0])
+    @LOOP_DESIGN_COMMANDS
     def test_singular_residue_covariance_is_infeasible(self, argv, tmp_path, capsys):
         """A plant with no measurement and measurement noise below working
         precision has a singular residue covariance: the period is rejected
         where its loop is designed, exit 3."""
-        plants, out = tmp_path / "plants", tmp_path / "out"
-        plants.mkdir()
-        for src in data_path("plants").glob("*.json"):
-            plant = json.loads(src.read_text())
-            if plant["name"] == "cc":
-                plant.update(C=[[0.0]], V=[[1e-301]])
-            (plants / src.name).write_text(json.dumps(plant))
-        argv = [*argv, "--taskset", "automotive_lu", "--plants", str(plants), "--out", str(out)]
-        assert main(argv) == EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert err == "infeasible: period 10: singular residue covariance\n"
-        assert not out.exists()
+        assert loop_design_error(argv, tmp_path, capsys, C=[[0.0]], V=[[1e-301]]) == (
+            "infeasible: task 3: plant cc, period 10: singular residue covariance\n"
+        )
+
+    @LOOP_DESIGN_COMMANDS
+    def test_zero_input_names_task_plant_and_period(self, argv, tmp_path, capsys):
+        """A plant with no actuation fails its loop design at the task's
+        first period: exit 3, with the task, the plant and the period."""
+        assert loop_design_error(argv, tmp_path, capsys, B=[[0.0]]) == (
+            "infeasible: task 3: plant cc, period 10: "
+            "input matrix is zero: no actuation authority\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scenario", "/nonexistent"],

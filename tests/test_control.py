@@ -13,14 +13,13 @@ from maars.control import (
     _dare,
     augment,
     calibrate_threshold,
-    dare_residual,
     design_loop,
     discretize,
     kalman_gain,
     lqr_gain,
-    measure_far,
 )
 from maars.taskmodel import Infeasible
+from oracles import dare_residual, measure_far
 
 
 def double_integrator():

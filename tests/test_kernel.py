@@ -10,25 +10,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maars import data_path, kernel
-from maars.kernel import BACKEND, splitmix64
+from maars.kernel import BACKEND, splitmix64_stream
 from maars.taskmodel import (
     ConfigError, Infeasible, enumerate_specs, hyper_period, load_taskset,
 )
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One sequential SplitMix64 step; returns (new_state, output). The
+    reference of the kernel's blocked stream and of the reference shuffles."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
 class TestSplitMix64:
     def test_reference_sequence(self):
         # Published SplitMix64 outputs for seed 1234567.
-        state = 1234567
-        outputs = []
+        published = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+        assert list(itertools.islice(splitmix64_stream(1234567), 3)) == published
+        state, outputs = 1234567, []
         for _ in range(3):
             state, z = splitmix64(state)
             outputs.append(z)
-        assert outputs == [
-            6457827717110365317,
-            3203168211198807973,
-            9817491932198370423,
-        ]
+        assert outputs == published
 
 
 class TestPureKernel:
@@ -107,8 +117,6 @@ def test_backend_reports_selection():
 # ref_enumerate_all restores a released task's deadline on backtrack:
 # without that, a stale deadline misorders the lookahead and valid
 # schedules go missing.
-
-MASK64 = (1 << 64) - 1
 
 
 def _edf_feasible(periods, wcets, rem, dl, t, l, can_early_exit):
@@ -367,7 +375,7 @@ def test_blocked_stream_matches_splitmix64(seed, boundary, before, after):
     for _ in range(stop):
         state, z = splitmix64(state)
         expected.append(z)
-    assert list(itertools.islice(kernel._stream(seed), start, stop)) == expected[start:]
+    assert list(itertools.islice(splitmix64_stream(seed), start, stop)) == expected[start:]
 
 
 def reference_tables(periods, wcets, l):

@@ -1,11 +1,12 @@
 """Runtime schedule selector: mode transitions, draw invariants, logging."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from maars.kernel import splitmix64_stream
 from maars.runtime import (
-    CounterRng,
     make_selector,
     resolve_flag,
     run_epoch,
@@ -15,14 +16,16 @@ from maars.runtime import (
 from maars.taskmodel import Infeasible
 
 
-class TestCounterRng:
-    def test_deterministic(self):
-        a, b = CounterRng(7), CounterRng(7)
-        assert [a.below(10) for _ in range(20)] == [b.below(10) for _ in range(20)]
-
-    def test_range(self):
-        rng = CounterRng(3)
-        assert all(0 <= rng.below(5) < 5 for _ in range(100))
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_selector_draws_the_seed_stream(self, minimal_store, seed):
+        """The selector draws the SplitMix64 stream of its seed (past a block
+        boundary), and its first normal-mode pick is the first output modulo
+        the number of candidates."""
+        draws = make_selector(minimal_store, seed).draws
+        assert list(islice(draws, 300)) == list(islice(splitmix64_stream(seed), 300))
+        first = sched_sel(make_selector(minimal_store, seed), 0)
+        assert first == next(splitmix64_stream(seed)) % minimal_store.k_threshold
 
 
 class TestResolveFlag:

@@ -1,8 +1,10 @@
 """Security-aware period pruning: admissibility rule and menu filtering."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from maars.secureperiods import Verdict, admissible, prune_security
+from maars.secureperiods import admissible, prune_security
 from maars.taskmodel import TrustedTask, UntrustedTask
 
 
@@ -18,16 +20,16 @@ ATTACKER = UntrustedTask(id=2, period=20, wcet=2)
 class TestAdmissible:
     def test_strict_when_offset_equals_wcet(self):
         # p' = 12 = 1*10 + 2 with e_j = 2
-        assert admissible(12, 10, ATTACKER) is Verdict.STRICT
+        assert admissible(12, 10, ATTACKER) is True
 
     def test_relaxed_inside_band(self):
         # k' = 5 in [e_j, p-1] = [2, 9]
-        assert admissible(15, 10, ATTACKER) is Verdict.RELAXED
-        assert admissible(19, 10, ATTACKER) is Verdict.RELAXED  # k' = 9 = p-1
+        assert admissible(15, 10, ATTACKER) is True
+        assert admissible(19, 10, ATTACKER) is True  # k' = 9 = p-1
 
     def test_inadmissible_below_wcet(self):
-        assert admissible(11, 10, ATTACKER) is Verdict.INADMISSIBLE  # k' = 1 < 2
-        assert admissible(20, 10, ATTACKER) is Verdict.INADMISSIBLE  # k' = 0
+        assert admissible(11, 10, ATTACKER) is False  # k' = 1 < 2
+        assert admissible(20, 10, ATTACKER) is False  # k' = 0
 
     def test_candidate_must_exceed_base(self):
         with pytest.raises(ValueError):
@@ -35,14 +37,26 @@ class TestAdmissible:
 
     def test_multiple_of_base_plus_offset(self):
         # p' = 32 = 3*10 + 2: same verdict as 12
-        assert admissible(32, 10, ATTACKER) is Verdict.STRICT
+        assert admissible(32, 10, ATTACKER) is True
+
+    @given(p_base=st.integers(1, 60), extra=st.integers(1, 300), wcet=st.integers(1, 70))
+    def test_matches_the_strict_or_relaxed_cases(self, p_base, extra, wcet):
+        """The one comparison is the paper's classification: p' > p is
+        admissible exactly when strict (k' = e_j) or relaxed
+        (e_j <= k' <= p-1)."""
+        p_prime = p_base + extra
+        k = p_prime % p_base
+        strict = k == wcet
+        relaxed = wcet <= k <= p_base - 1
+        attacker = UntrustedTask(id=2, period=80, wcet=wcet)
+        assert admissible(p_prime, p_base, attacker) == (strict or relaxed)
 
 
 class TestClassify:
     def test_per_attacker_verdicts(self):
         other = UntrustedTask(id=3, period=30, wcet=5)
-        assert admissible(12, 10, ATTACKER) is Verdict.STRICT
-        assert admissible(12, 10, other) is Verdict.INADMISSIBLE  # k'=2 < e=5
+        assert admissible(12, 10, ATTACKER) is True
+        assert admissible(12, 10, other) is False  # k'=2 < e=5
         assert prune_security(victim([10, 12]), [10, 12], [ATTACKER, other]) == [10]
 
 
