@@ -36,6 +36,7 @@ import json
 import logging
 import math
 import sys
+import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -351,12 +352,16 @@ def cmd_simulate(args) -> int:
             store.k_threshold = len(store.schedules)
     selector = make_selector(store, seed=args.seed_base)
 
-    metrics, world = run_scenario(
-        plants, scenario, selector,
-        seed=args.seed_base, epochs=args.epochs, noise_scale=args.noise_scale,
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    save_trace_csv(world, out / "trace.csv")
+    # the trace lines go to a spool file as each epoch ends; --out is made
+    # only once the run is over
+    with tempfile.TemporaryFile("w+", newline="") as spool:
+        metrics, world = run_scenario(
+            plants, scenario, selector,
+            seed=args.seed_base, epochs=args.epochs, sink=spool,
+            noise_scale=args.noise_scale,
+        )
+        out.mkdir(parents=True, exist_ok=True)
+        save_trace_csv(world, out / "trace.csv")
     if args.policy != "static":
         save_log_csv(selector.deployments, out / "deployments.csv")
     payload = {

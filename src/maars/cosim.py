@@ -9,6 +9,13 @@ post-completion window (before the output is transmitted at the period
 boundary) overwrites that buffer. Plant states advance at period
 boundaries with the buffer contents, so tampering lands exactly one sample
 later, matching the discrete closed-loop model.
+
+A run holds one epoch's trace lines at a time: each hyper-period writes its
+finished CSV lines to a text sink that the caller owns (``trace.csv``'s
+spool, or an ``io.StringIO``), and only the victim's loop records its
+``||x||`` trace for the settling and decay metrics. Memory therefore stays
+bounded by one epoch's lines, the victim's norm trace and the deployment
+log, whatever the number of epochs.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from shutil import copyfileobj
+from typing import TextIO
 
 import numpy as np
 
@@ -109,7 +118,9 @@ class ControlLoopSim:
         self.v_noise: Iterator[np.ndarray] = iter(())
         self.alarmed = False
         self.norm = math.sqrt(self.x.dot(self.x))  # ||x||, kept current by advance_plant
-        self.norm_trace: list[tuple[float, float]] = []  # (time s, ||x||)
+        # (time s, ||x||) at each plant step; a list for the victim's loop
+        # only (CoSimWorld sets it), no trace for any other
+        self.norm_trace: list[tuple[float, float]] | None = None
 
     def set_period(self, period: int):
         self.loop = self.loops[period]
@@ -128,7 +139,8 @@ class ControlLoopSim:
         self.x = x
         # np.linalg.norm's own formula for a real vector
         self.norm = math.sqrt(x.dot(x))
-        self.norm_trace.append((time_s, self.norm))
+        if self.norm_trace is not None:
+            self.norm_trace.append((time_s, self.norm))
 
     def job_complete(self):
         """Sample, estimate, detect, and compute the next control input."""
@@ -190,7 +202,8 @@ class EventPlan:
 
 
 class CoSimWorld:
-    """Slot-level world; exposes run_hyper_period() for the runtime selector."""
+    """Slot-level world; exposes run_hyper_period() for the runtime selector,
+    which writes each epoch's trace lines to ``sink``."""
 
     def __init__(
         self,
@@ -198,6 +211,7 @@ class CoSimWorld:
         plants: dict[str, PlantModel],
         scenario: AttackScenario | None,
         seed: int,
+        sink: TextIO,
         noise_scale: float = 1.0,
         divergence_bound: float = DIVERGENCE_BOUND,
     ):
@@ -219,6 +233,8 @@ class CoSimWorld:
                 if t.plant not in plants:
                     raise KeyError(f"task {t.id}: no plant named {t.plant!r}")
                 self.loops[t.id] = ControlLoopSim(t, plants[t.plant], taskset.delta)
+        if scenario is not None and scenario.victim_id in self.loops:
+            self.loops[scenario.victim_id].norm_trace = []
         self.noise_scale = noise_scale
         # id(schedule) -> (schedule, plan); holding the schedule keeps its id unique
         self.plans: dict[int, tuple[Schedule, EventPlan]] = {}
@@ -227,7 +243,7 @@ class CoSimWorld:
         self.diverged = False
         self.victim_hits = 0
         self.victim_jobs = 0
-        self.trace: list[str] = []  # one finished CSV line per slot
+        self.sink = sink  # one finished CSV line per simulated slot
 
     def plan(self, sched: Schedule) -> EventPlan:
         """The event plan of ``sched``, built on its first deployment."""
@@ -310,7 +326,7 @@ class CoSimWorld:
         victim = self.loops.get(self.scenario.victim_id) if self.scenario is not None else None
         victim_text, stale = "", victim is not None
         hit_jobs: set[int] = set()
-        trace = self.trace
+        trace: list[str] = []  # this epoch's lines
         end = l
         for t, stop, advancing, done, job in plan.events:
             # period boundaries (skip the synchronous release at t=0 of the
@@ -340,6 +356,8 @@ class CoSimWorld:
             # this slot and the event-free ones up to the next event
             trace += [trace_line((base + s) * delta, slots[s], victim_text)
                       for s in range(t, stop)]
+        # one write per epoch: a write per line costs ten times as much
+        self.sink.write("".join(trace))
         self.time_slots = base + end
 
         self.victim_jobs += plan.victim_jobs
@@ -392,19 +410,21 @@ def run_scenario(
     selector: SelectorState,
     seed: int,
     epochs: int,
+    sink: TextIO,
     noise_scale: float = 1.0,
     settle_band: float = 0.1,
     divergence_bound: float = DIVERGENCE_BOUND,
 ) -> tuple[dict, CoSimWorld]:
     """Drive ``epochs`` hyper-periods of the task set of ``selector.store``,
     deploying each epoch the schedule the selector draws from its store
-    (``runtime.run_epoch``). Deterministic for a fixed seed.
+    (``runtime.run_epoch``), and writing the trace lines to ``sink``.
+    Deterministic for a fixed seed.
 
     Returns the run's metrics, in their ``metrics.json`` order, and the
     world; the settling time, decay rate and AP are the victim's.
     """
     world = CoSimWorld(
-        selector.store.taskset, plants, scenario, seed,
+        selector.store.taskset, plants, scenario, seed, sink,
         noise_scale=noise_scale, divergence_bound=divergence_bound,
     )
     deployments = run_epoch(selector, world, epochs)
@@ -431,6 +451,9 @@ def run_scenario(
 
 
 def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:
+    """Write ``trace.csv``: the header, then every line the run wrote to its
+    sink, copied from the sink's start in chunks."""
+    world.sink.seek(0)
     with open(path, "w", newline="") as fh:
         fh.write("time_s,running_task,victim_norm,victim_u,g,alarm\r\n")
-        fh.writelines(world.trace)
+        copyfileobj(world.sink, fh)

@@ -1,6 +1,7 @@
 """Acceptance gate: eleven end-to-end criteria, one test (= one pass/fail
 line under ``pytest -v``) each. Measured values are printed with ``-s``."""
 
+import io
 import logging
 import time
 from fractions import Fraction
@@ -270,7 +271,7 @@ def test_criterion_10_resilience(lu_ts, plants, lu_static_store):
 
     static_metrics, _ = run_scenario(
         plants, scenario, make_selector(lu_static_store, 42), seed=42, epochs=40,
-        divergence_bound=bound,
+        sink=io.StringIO(), divergence_bound=bound,
     )
     assert static_metrics["diverged"]
 
@@ -284,7 +285,7 @@ def test_criterion_10_resilience(lu_ts, plants, lu_static_store):
     store = build_store(pool, pruned)
     selector = make_selector(store, seed=42)
     maars_metrics, _ = run_scenario(
-        plants, scenario, selector, seed=42, epochs=40,
+        plants, scenario, selector, seed=42, epochs=40, sink=io.StringIO(),
         divergence_bound=bound, settle_band=1.0,
     )
     alert_epochs = sum(e.mode.startswith("alert") for e in selector.deployments)

@@ -25,9 +25,10 @@ from maars.cli import (
     prune_menus,
     write_ir_csv,
 )
+from maars.cosim import CoSimWorld
 from maars.ladder import aei_sizes, build_ladder, inferability_ratio
 from maars.schedgen import simulate_fixed_priority
-from maars.taskmodel import taskset_to_dict
+from maars.taskmodel import Infeasible, taskset_to_dict
 from maars.vulnerability import export_reports_csv, load_store
 
 
@@ -845,6 +846,31 @@ def test_store_with_no_first_candidate_is_infeasible(golden_stores, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_failure_in_mid_run_leaves_no_out(golden_stores, tmp_path, capsys, monkeypatch):
+    """An error raised in the third epoch, after the trace spool is open and
+    two epochs' lines are in it: exit 3 with one line, no --out, and the
+    spool closed."""
+    run_hyper_period, open_spool = CoSimWorld.run_hyper_period, tempfile.TemporaryFile
+    spools = []
+
+    def failing(world, sched):
+        if world.epoch == 2:
+            raise Infeasible("injected in epoch 2")
+        return run_hyper_period(world, sched)
+
+    def recorded(*args, **kwargs):
+        spools.append(open_spool(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(CoSimWorld, "run_hyper_period", failing)
+    monkeypatch.setattr(maars.cli.tempfile, "TemporaryFile", recorded)
+    out = tmp_path / "out"
+    assert main(golden_argv("maars-attack", golden_stores, out)) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: injected in epoch 2\n"
+    assert not out.exists()
+    assert len(spools) == 1 and spools[0].closed
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +60,7 @@ class TestNominal:
     def test_no_attack_no_noise_converges(self, plants, lu_static_store):
         metrics, world = run_scenario(
             plants, None, make_selector(lu_static_store, 0), seed=0, epochs=50,
-            noise_scale=0.0,
+            sink=io.StringIO(), noise_scale=0.0,
         )
         assert not metrics["diverged"]
         for sim in world.loops.values():
@@ -70,9 +72,10 @@ class TestNominal:
         runs = []
         for _ in range(2):
             m, w = run_scenario(
-                plants, sc, make_selector(lu_static_store, 9), seed=9, epochs=4
+                plants, sc, make_selector(lu_static_store, 9), seed=9, epochs=4,
+                sink=io.StringIO(),
             )
-            runs.append((m["victim_hits"], tuple(w.loops[2].norm_trace)))
+            runs.append((m["victim_hits"], tuple(w.loops[2].norm_trace), w.sink.getvalue()))
         assert runs[0] == runs[1]
 
 
@@ -85,7 +88,7 @@ class TestTampering:
         sched = simulate_fixed_priority(lu_ts, lu_ts.min_period_spec())
         metrics, _ = run_scenario(
             plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=3,
-            noise_scale=0.0,
+            sink=io.StringIO(), noise_scale=0.0,
         )
         per_epoch = attack_count(sched, lu_ts.task(2), {5})
         assert metrics["victim_hits"] == 3 * per_epoch
@@ -97,7 +100,7 @@ class TestTampering:
     def test_attack_raises_detector_statistic(self, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=50.0)
         metrics, _ = run_scenario(
-            plants, sc, make_selector(lu_static_store, 1), seed=1, epochs=6
+            plants, sc, make_selector(lu_static_store, 1), seed=1, epochs=6, sink=io.StringIO()
         )
         assert metrics["alarm_epochs"]  # persistent tampering must trip the alarm
 
@@ -111,14 +114,15 @@ class TestTampering:
     def test_unknown_injection_rejected(self, plants, lu_static_store):
         with pytest.raises(ConfigError):
             sc = AttackScenario(5, 2, injection="melt", value=1.0)
-            run_scenario(plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2)
+            run_scenario(plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2,
+                         sink=io.StringIO())
 
 
 class TestPolicies:
     def test_maars_deploys_from_store(self, plants, lu_bits):
         sc = AttackScenario(5, 2, injection="bias", value=20.0)
         selector = make_selector(lu_bits, seed=5)
-        metrics, _ = run_scenario(plants, sc, selector, seed=5, epochs=8)
+        metrics, _ = run_scenario(plants, sc, selector, seed=5, epochs=8, sink=io.StringIO())
         assert len(selector.deployments) == 8
         assert not metrics["diverged"]
         aps = [float(lu_bits.ap_of(e.index, 2)) for e in selector.deployments]
@@ -128,11 +132,12 @@ class TestPolicies:
         sc = AttackScenario(5, 2, injection="bias", value=200.0)
         metrics, world = run_scenario(
             plants, sc, make_selector(lu_static_store, 2), seed=2, epochs=50,
-            divergence_bound=50.0,
+            sink=io.StringIO(), divergence_bound=50.0,
         )
         assert metrics["diverged"]
         assert world.epoch < 50  # stopped early
-        assert len(world.trace) == world.time_slots  # one line per simulated slot
+        # one written line per simulated slot
+        assert world.sink.getvalue().count("\r\n") == world.time_slots
 
 
 class TestMetrics:
@@ -155,7 +160,7 @@ class TestTrace:
     def test_trace_csv(self, tmp_path, plants, lu_static_store):
         sc = AttackScenario(5, 2, injection="bias", value=5.0)
         _, world = run_scenario(
-            plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2
+            plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2, sink=io.StringIO()
         )
         path = tmp_path / "trace.csv"
         save_trace_csv(world, path)
@@ -167,6 +172,43 @@ class TestTrace:
             ["time_s", "running_task", "victim_norm", "victim_u", "g", "alarm"]
         )
         assert path.read_bytes().startswith(header.getvalue().encode())
+        # the file is the header and every line the run wrote to its sink
+        assert path.read_bytes() == (header.getvalue() + world.sink.getvalue()).encode()
+
+    def test_memory_does_not_grow_with_the_lines(self, lu_ts, plants):
+        """A run holds one epoch's lines at a time: running 4N epochs instead
+        of N raises its traced peak by less than the extra epochs' lines take
+        in the file, let alone as str objects (the victim's norm trace and
+        the deployment log still grow, by far less). The schedules span
+        2100 slots, LU's longest hyper-period, so that N epochs' lines alone
+        outweigh the detector calibration's transient peak."""
+        from maars.schedgen import aware_shuffle_schedule
+        from maars.taskmodel import TaskSpec
+        from maars.vulnerability import harden_schedule
+
+        spec = TaskSpec(periods=(15, 25, 35, 30), untrusted_periods=(10, 30, 20))
+        store = build_store(
+            [harden_schedule(aware_shuffle_schedule(lu_ts, spec, s), lu_ts) for s in range(3)],
+            lu_ts,
+        )
+        assert {sched.length for sched in store.schedules} == {2100}
+        sc = AttackScenario(5, 2, injection="bias", value=1.0)
+
+        def peak_and_bytes(epochs):
+            with tempfile.TemporaryFile("w+", newline="") as sink:
+                tracemalloc.start()
+                try:
+                    run_scenario(plants, sc, make_selector(store, 3), seed=3,
+                                 epochs=epochs, sink=sink)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                return peak, sink.tell()
+
+        n = 5
+        peak, written = peak_and_bytes(n)
+        peak_4n, written_4n = peak_and_bytes(4 * n)
+        assert peak_4n - peak < written_4n - written
 
 
 # floats of every kind, with -0.0, nan, +-inf and subnormals always in reach
@@ -304,7 +346,7 @@ def reference_hyper_period(world, sched, rng, noise_scale):
         text = "" if victim is None else victim_columns(
             victim.norm, float(victim.buffer[0]), victim.detector.g, victim.alarmed
         )
-        world.trace.append(trace_line(world.time_slots * delta, running, text))
+        world.sink.write(trace_line(world.time_slots * delta, running, text))
         world.time_slots += 1
     if scenario is not None:
         world.victim_jobs += sched.length // sched.spec.period_of(scenario.victim_id)
@@ -327,8 +369,9 @@ class TestEventPlan:
     ], ids=["nominal", "bias-window", "replace-noiseless", "diverges"])
     def test_matches_slot_by_slot_reference(self, lu_ts, plants, lu_bits, scenario,
                                             noise_scale, bound):
-        worlds = [CoSimWorld(lu_ts, plants, scenario, seed=4, noise_scale=noise_scale,
-                             divergence_bound=bound) for _ in range(2)]
+        worlds = [CoSimWorld(lu_ts, plants, scenario, seed=4, sink=io.StringIO(),
+                             noise_scale=noise_scale, divergence_bound=bound)
+                  for _ in range(2)]
         rng = np.random.default_rng(4)
         order = [0, 3, 0, 7, 3, 11, 0, 5]  # repeats reuse a cached plan
         for index in order:
@@ -339,12 +382,17 @@ class TestEventPlan:
             if worlds[1].diverged:
                 break
         got, want = worlds
-        assert got.trace == want.trace
+        # the streamed text, every epoch's lines in order
+        assert got.sink.getvalue() == want.sink.getvalue()
+        assert got.sink.getvalue().count("\r\n") == got.time_slots
         assert (got.time_slots, got.epoch, got.diverged) == (want.time_slots, want.epoch,
                                                              want.diverged)
         assert (got.victim_hits, got.victim_jobs) == (want.victim_hits, want.victim_jobs)
         for task_id, sim in got.loops.items():
             other = want.loops[task_id]
+            # only the victim's loop keeps a norm trace
+            is_victim = scenario is not None and task_id == scenario.victim_id
+            assert (sim.norm_trace is not None) == is_victim
             assert sim.norm_trace == other.norm_trace
             assert sim.x.tobytes() == other.x.tobytes()
             assert sim.detector.g == other.detector.g
@@ -361,7 +409,7 @@ class TestEventPlan:
         monkeypatch.setattr(maars.cosim, "exposure_windows", counted)
         sc = AttackScenario(5, 2, injection="bias", value=1.0)
         selector = make_selector(lu_bits, seed=3)
-        _, world = run_scenario(plants, sc, selector, seed=3, epochs=40)
+        _, world = run_scenario(plants, sc, selector, seed=3, epochs=40, sink=io.StringIO())
         deployed = {e.index for e in selector.deployments}
         assert len(deployed) < 40  # some schedule was deployed again
         assert len(world.plans) == len(deployed)
@@ -370,6 +418,6 @@ class TestEventPlan:
     def test_noiseless_run_draws_nothing(self, plants, lu_static_store):
         _, world = run_scenario(
             plants, None, make_selector(lu_static_store, 0), seed=6, epochs=3,
-            noise_scale=0.0,
+            sink=io.StringIO(), noise_scale=0.0,
         )
         assert world.rng.bit_generator.state == np.random.default_rng(6).bit_generator.state
