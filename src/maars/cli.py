@@ -49,7 +49,7 @@ from .kernel import BACKEND
 from .ladder import aei_sizes, build_ladder, inferability_ratio
 from .runtime import make_selector, save_log_csv
 from .schedgen import (
-    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, stacks, unique,
+    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, unique,
 )
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
@@ -66,13 +66,11 @@ from .taskmodel import (
 )
 from .vulnerability import (
     ScheduleStore,
-    analyze,
     build_store,
     export_reports_csv,
     harden_schedule,
     load_store,
     save_store,
-    svt,
 )
 
 log = logging.getLogger(__name__)
@@ -182,10 +180,11 @@ def write_ir_csv(store, path: Path) -> None:
 
     A ladder depends on the victim only through its row (its minimum
     period), so |AEI| is computed once per distinct row and attacker, for a
-    whole period-assignment stack at a time (``aei_sizes``). Each distinct
-    (row, attacker, |AEI|) cell is formatted once, from the ladder of the
-    first schedule that has it, and so is each distinct set of a schedule's
-    lines, with its index left to fill in.
+    whole period-assignment stack of the store (``ScheduleStore.stacks``) at
+    a time (``aei_sizes``). Each distinct (row, attacker, |AEI|) cell is
+    formatted once, from the ladder of the first schedule that has it, and so
+    is each distinct set of a schedule's lines, with its index left to fill
+    in.
     """
     ts = store.taskset
     row_victims: dict[int, TrustedTask] = {}
@@ -193,7 +192,7 @@ def write_ir_csv(store, path: Path) -> None:
         row_victims.setdefault(victim.min_period, victim)
     pairs = [(victim, u) for victim in row_victims.values() for u in ts.untrusted]
     sizes = np.empty((len(store.schedules), len(pairs)), dtype=np.int64)
-    for _, members, stack in stacks(store.schedules):
+    for _, members, stack in store.stacks:
         for j, (victim, u) in enumerate(pairs):
             sizes[members, j] = aei_sizes(stack, victim, u)
     # each line of a schedule: its text after the index, and its column of sizes
@@ -316,14 +315,8 @@ def _static_store(taskset: TaskSet) -> ScheduleStore:
     periods, deployable in normal mode (K = 1) and in every alert mode."""
     require_schedulable(taskset)
     sched = simulate_fixed_priority(taskset, taskset.min_period_spec())
-    return ScheduleStore(
-        taskset=taskset,
-        schedules=[sched],
-        reports=[analyze(sched, taskset)],
-        svt=svt(taskset),
-        k_threshold=1,
-        lut={t.id: [0] for t in taskset.trusted},
-    )
+    return replace(build_store([sched], taskset), k_threshold=1,
+                   lut={t.id: [0] for t in taskset.trusted})
 
 
 def cmd_simulate(args) -> int:

@@ -70,10 +70,15 @@ def stacks(schedules: list[Schedule]) -> Iterator[tuple[TaskSpec, list[int], np.
     """Per period assignment (``group_by_spec``): the spec, the indices of its
     k schedules and their slots as one (k, L) int32 array."""
     for spec, members in group_by_spec(schedules).items():
-        length = schedules[members[0]].length
-        flat = chain.from_iterable(schedules[i].slots for i in members)
-        yield spec, members, np.fromiter(flat, np.int32, len(members) * length).reshape(
-            len(members), length)
+        yield spec, members, slot_array([schedules[i].slots for i in members],
+                                        schedules[members[0]].length)
+
+
+def slot_array(rows: list[tuple[int, ...]], length: int) -> np.ndarray:
+    """The (k, length) int32 array of k slot tuples of that length: where
+    every stack of schedules is built."""
+    flat = chain.from_iterable(rows)
+    return np.fromiter(flat, np.int32, len(rows) * length).reshape(len(rows), length)
 
 
 def simulate_fixed_priority(taskset: TaskSet, spec: TaskSpec) -> Schedule:
@@ -81,19 +86,22 @@ def simulate_fixed_priority(taskset: TaskSet, spec: TaskSpec) -> Schedule:
     return Schedule(spec=spec, slots=tuple(slots), provenance="fixed-priority")
 
 
-def shuffle_schedule(taskset: TaskSet, spec: TaskSpec, seed: int) -> Schedule:
-    slots = kernel.shuffle(spec.all_periods(), taskset.wcets, hyper_period(spec), seed)
-    return Schedule(spec=spec, slots=tuple(slots), provenance="randomized", seed=seed)
-
-
-def aware_shuffle_schedule(taskset: TaskSet, spec: TaskSpec, seed: int) -> Schedule:
-    """Randomized schedule biased against placing untrusted executions
-    inside any trusted task's open post-completion window."""
-    aews = [t.aew for t in taskset.trusted]
-    slots = kernel.aware_shuffle(
-        spec.all_periods(), taskset.wcets, aews, len(taskset.trusted), hyper_period(spec), seed
-    )
-    return Schedule(spec=spec, slots=tuple(slots), provenance="attack-aware", seed=seed)
+def draw_schedules(
+    taskset: TaskSet, draws: list[tuple[TaskSpec, int]], attack_aware: bool = False
+) -> list[Schedule]:
+    """The randomized schedule of each (spec, seed) of ``draws``, in order,
+    drawn attack-aware when requested: biased against placing untrusted
+    executions inside any trusted task's open post-completion window. The
+    kernel draws every schedule of one hyper-period in lockstep."""
+    rows = [(spec.all_periods(), hyper_period(spec), seed) for spec, seed in draws]
+    if attack_aware:
+        aews = [t.aew for t in taskset.trusted]
+        slots = kernel.aware_shuffles(rows, taskset.wcets, aews, len(taskset.trusted))
+    else:
+        slots = kernel.shuffles(rows, taskset.wcets)
+    provenance = "attack-aware" if attack_aware else "randomized"
+    return [Schedule(spec=spec, slots=s, provenance=provenance, seed=seed)
+            for (spec, seed), s in zip(draws, slots)]
 
 
 def enumerate_all(
@@ -119,22 +127,18 @@ def generate_pool(
     exhaustive=True enumerates every spec within ``budget``; otherwise
     ``seeds_per_spec`` shuffled schedules per spec (the deterministic
     fixed-priority schedule when seeds_per_spec == 0), drawn attack-aware
-    when requested. Merge order is deterministic: specs in input order,
+    when requested (``draw_schedules``, every seed of every spec at once).
+    Merge order is deterministic: specs in input order, then seeds in order,
     first occurrence kept.
     """
-    draw = aware_shuffle_schedule if attack_aware else shuffle_schedule
-
-    def draws() -> Iterator[Schedule]:
-        for spec_idx, spec in enumerate(specs):
-            if exhaustive:
-                yield from enumerate_all(taskset, spec, budget)
-            elif seeds_per_spec <= 0:
-                yield simulate_fixed_priority(taskset, spec)
-            else:
-                for k in range(seeds_per_spec):
-                    yield draw(taskset, spec, seed_base + spec_idx * 1_000_003 + k)
-
-    return unique(draws())
+    if exhaustive:
+        return unique(chain.from_iterable(enumerate_all(taskset, spec, budget) for spec in specs))
+    if seeds_per_spec <= 0:
+        return unique(simulate_fixed_priority(taskset, spec) for spec in specs)
+    return unique(draw_schedules(taskset, [
+        (spec, seed_base + spec_idx * 1_000_003 + k)
+        for spec_idx, spec in enumerate(specs) for k in range(seeds_per_spec)
+    ], attack_aware))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +166,17 @@ def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
 def validate_stack(
     taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
 ) -> list[list[str]]:
-    """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``.
-    Each slot is checked once, and the frame rules run once, on the (k, L)
-    array of the k that pass the rest."""
+    """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``."""
+    return checked_stack(taskset, spec, stack)[0]
+
+
+def checked_stack(
+    taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
+) -> tuple[list[list[str]], np.ndarray | None]:
+    """``validate_stack`` of ``stack``, and the (k, L) slot array of the k
+    tuples that pass its checks of length and slot type, in order (None when
+    the periods break the menus). Each slot is checked once, and the frame
+    rules run once, on that array."""
     periods, n = spec.all_periods(), taskset.n_tasks
     if not (
         len(spec.periods) == len(taskset.trusted)
@@ -172,15 +184,14 @@ def validate_stack(
         and spec.untrusted_periods == tuple(u.period for u in taskset.untrusted)
     ):
         return [[f"periods {list(periods)}: a trusted period outside its menu or a "
-                 "changed untrusted period"] for _ in stack]
+                 "changed untrusted period"] for _ in stack], None
     length = math.lcm(*periods)
     errors = [[f"slot {t}: {x!r} is not a task id in 0..{n}"
                for t, x in enumerate(s) if not (type(x) is int and 0 <= x <= n)]
               if len(s) == length else [f"length {len(s)}, not the hyper-period {length}"]
               for s in stack]
     rows = [r for r, e in enumerate(errors) if not e]
-    flat = chain.from_iterable(stack[r] for r in rows)
-    slots = np.fromiter(flat, np.int32, len(rows) * length).reshape(len(rows), length)
+    slots = slot_array([stack[r] for r in rows], length)
     pending = np.zeros(slots.shape, dtype=bool)
     for task_id, (p, wcet) in enumerate(zip(periods, taskset.wcets), start=1):
         runs = (slots == task_id).reshape(len(rows), length // p, p)
@@ -192,7 +203,7 @@ def validate_stack(
         pending |= (done < wcet).reshape(len(rows), length)
     for r, t in zip(*((slots == 0) & pending).nonzero()):
         errors[rows[r]].append(f"slot {t}: idle while jobs are ready")
-    return errors
+    return errors, slots
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +217,7 @@ def pool_to_dict(taskset: TaskSet, pool: list[Schedule]) -> dict:
             {
                 "periods": list(s.spec.periods),
                 "untrusted_periods": list(s.spec.untrusted_periods),
-                "slots": list(s.slots),
+                "slots": s.slots,  # a tuple encodes as the same JSON array
                 "provenance": s.provenance,
                 "seed": s.seed,
             }
@@ -216,18 +227,22 @@ def pool_to_dict(taskset: TaskSet, pool: list[Schedule]) -> dict:
 
 
 def pool_from_dict(data: dict) -> list[Schedule]:
-    return [
-        Schedule(
+    """The schedules of a pool document. Each record's slot list is replaced
+    by the schedule's tuple as it is read, so that a parsed document and its
+    schedules do not hold every slot twice."""
+    pool = []
+    for rec in data["schedules"]:
+        rec["slots"] = slots = tuple(rec["slots"])
+        pool.append(Schedule(
             spec=TaskSpec(
                 periods=tuple(rec["periods"]),
                 untrusted_periods=tuple(rec["untrusted_periods"]),
             ),
-            slots=tuple(rec["slots"]),
+            slots=slots,
             provenance=rec["provenance"],
             seed=rec.get("seed"),
-        )
-        for rec in data["schedules"]
-    ]
+        ))
+    return pool
 
 
 def save_pool(taskset: TaskSet, pool: list[Schedule], path: str | Path) -> None:

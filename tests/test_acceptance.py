@@ -18,12 +18,7 @@ from maars.control import (
 from maars.cosim import AttackScenario, run_scenario
 from maars.ladder import build_ladder, inferability_ratio
 from maars.runtime import make_selector, sched_sel
-from maars.schedgen import (
-    aware_shuffle_schedule,
-    enumerate_all,
-    shuffle_schedule,
-    simulate_fixed_priority,
-)
+from maars.schedgen import draw_schedules, enumerate_all, simulate_fixed_priority
 from maars.stability import decay_alpha, find_cqlf, verify_certificate
 from maars.taskmodel import Infeasible, TaskSpec, enumerate_specs, is_schedulable, wcrt
 from maars.vulnerability import (
@@ -150,16 +145,13 @@ def test_criterion_07_trend_reproduction(lu_ts, hu_ts, plants):
         pruned, _ = prune_menus(ts, plants, gamma=-0.5)
         specs = feasible_specs(pruned)
 
-        maars_reports = []
-        for k in range(n):
-            spec = specs[k % len(specs)]
-            sched = harden_schedule(
-                aware_shuffle_schedule(pruned, spec, seed=k), pruned
-            )
-            maars_reports.append(analyze(sched, pruned))
+        drawn = draw_schedules(
+            pruned, [(specs[k % len(specs)], k) for k in range(n)], attack_aware=True
+        )
+        maars_reports = [analyze(harden_schedule(s, pruned), pruned) for s in drawn]
         base_spec = ts.min_period_spec()
         base_reports = [
-            analyze(shuffle_schedule(ts, base_spec, seed=k), ts) for k in range(n)
+            analyze(s, ts) for s in draw_schedules(ts, [(base_spec, k) for k in range(n)])
         ]
 
         maars_below = sum(r.svi < threshold for r in maars_reports) / n
@@ -277,11 +269,12 @@ def test_criterion_10_resilience(lu_ts, plants, lu_static_store):
 
     pruned, _ = prune_menus(lu_ts, plants, gamma=-0.5)
     specs = feasible_specs(pruned)
-    pool = [
-        harden_schedule(aware_shuffle_schedule(pruned, s, seed), pruned)
-        for i, s in enumerate(specs)
-        for seed in (2 * i, 2 * i + 1)
-    ]
+    drawn = draw_schedules(
+        pruned,
+        [(s, seed) for i, s in enumerate(specs) for seed in (2 * i, 2 * i + 1)],
+        attack_aware=True,
+    )
+    pool = [harden_schedule(s, pruned) for s in drawn]
     store = build_store(pool, pruned)
     selector = make_selector(store, seed=42)
     maars_metrics, _ = run_scenario(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maars.cli
+import maars.schedgen
 from maars import data_path
 from maars.cli import (
     EXIT_CONFIG,
@@ -804,6 +805,35 @@ def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, 
         assert list(csv.reader(fh)) == expected
     specs = {s.spec for s in store.schedules}
     assert len(calls) == len(specs) * len(rows) * len(attackers)
+
+
+@pytest.mark.parametrize("command", ["analyze", "baseline", "simulate"])
+def test_each_stack_is_built_once_per_command(command, golden_stores, lu_ts, tmp_path,
+                                              monkeypatch):
+    """A command builds the slot array of each period assignment's schedules
+    once: ``analyze`` and ``baseline`` for the store and ir.csv, and
+    ``simulate`` for the store's check on load and the store. The commands
+    rebuild the golden stores, and ``simulate`` deploys the analyze one."""
+    built = "analyze" if command == "simulate" else command
+    store = load_store(golden_stores / built / "store.json", lu_ts)
+    argv = {
+        "analyze": ["analyze", "--taskset", "automotive_lu", "--seeds", "1"],
+        "baseline": ["baseline", "--taskset", "automotive_lu", "--seeds", "3"],
+        "simulate": ["simulate", "--taskset", "automotive_lu", "--policy", "maars",
+                     "--store", str(golden_stores / "analyze" / "store.json"),
+                     "--epochs", "1"],
+    }[command]
+    rows = []
+    slot_array = maars.schedgen.slot_array
+
+    def counted(stack, length):
+        rows.append(len(stack))
+        return slot_array(stack, length)
+
+    monkeypatch.setattr(maars.schedgen, "slot_array", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(rows) == len({s.spec for s in store.schedules})
+    assert sum(rows) == len(store.schedules)
 
 
 def test_simulate_deploys_the_store_without_pruning(golden_stores, tmp_path, monkeypatch):

@@ -35,14 +35,12 @@ from maars.vulnerability import build_store, exposure_windows
 @pytest.fixture(scope="module")
 def lu_bits(lu_ts, plants):
     """Small attack-aware store over the LU minimum-period spec."""
-    from maars.schedgen import aware_shuffle_schedule
+    from maars.schedgen import draw_schedules
     from maars.vulnerability import harden_schedule
 
     spec = lu_ts.min_period_spec()
-    pool = [
-        harden_schedule(aware_shuffle_schedule(lu_ts, spec, s), lu_ts)
-        for s in range(12)
-    ]
+    drawn = draw_schedules(lu_ts, [(spec, s) for s in range(12)], attack_aware=True)
+    pool = [harden_schedule(s, lu_ts) for s in drawn]
     return build_store(pool, lu_ts)
 
 
@@ -182,15 +180,13 @@ class TestTrace:
         the deployment log still grow, by far less). The schedules span
         2100 slots, LU's longest hyper-period, so that N epochs' lines alone
         outweigh the detector calibration's transient peak."""
-        from maars.schedgen import aware_shuffle_schedule
+        from maars.schedgen import draw_schedules
         from maars.taskmodel import TaskSpec
         from maars.vulnerability import harden_schedule
 
         spec = TaskSpec(periods=(15, 25, 35, 30), untrusted_periods=(10, 30, 20))
-        store = build_store(
-            [harden_schedule(aware_shuffle_schedule(lu_ts, spec, s), lu_ts) for s in range(3)],
-            lu_ts,
-        )
+        drawn = draw_schedules(lu_ts, [(spec, s) for s in range(3)], attack_aware=True)
+        store = build_store([harden_schedule(s, lu_ts) for s in drawn], lu_ts)
         assert {sched.length for sched in store.schedules} == {2100}
         sc = AttackScenario(5, 2, injection="bias", value=1.0)
 

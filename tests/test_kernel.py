@@ -416,3 +416,99 @@ def test_tables_match_definitions(case):
     assert kernel._tables.__wrapped__(tuple(periods), tuple(wcets), l) == (
         reference_tables(periods, wcets, l)
     )
+
+
+# ---------------------------------------------------------------------------
+# Lockstep: the shuffles draw many rows at once; each row is the reference's
+# draw of its own periods and seed.
+
+
+def check_rows(rows, wcets, aews, n_trusted):
+    """Every row of ``kernel.shuffles`` and ``kernel.aware_shuffles`` is the
+    reference's draw; with a row whose utilization exceeds 1, both raise the
+    message of the first such row in order, drawn alone."""
+    draws = (
+        (lambda: kernel.shuffles(rows, wcets), kernel.shuffle, ref_shuffle, ()),
+        (lambda: kernel.aware_shuffles(rows, wcets, aews, n_trusted), kernel.aware_shuffle,
+         ref_aware_shuffle, (aews, n_trusted)),
+    )
+    for lockstep, one_row, reference, extra in draws:
+        expected = [outcome(reference, periods, wcets, *extra, l, seed)
+                    for periods, l, seed in rows]
+        overloaded = [row for row, e in zip(rows, expected) if e == "Infeasible"]
+        if overloaded:
+            periods, l, seed = overloaded[0]
+            with pytest.raises(Infeasible) as alone:
+                one_row(periods, wcets, *extra, l, seed)
+            with pytest.raises(Infeasible) as together:
+                lockstep()
+            assert str(together.value) == str(alone.value)
+        else:
+            assert [list(slots) for slots in lockstep()] == expected
+
+
+@st.composite
+def small_groups(draw):
+    """Rows of 1-3 period assignments of one random 1-4 task set that share
+    a horizon, with 1-3 seeds each. Every period is a divisor of the horizon
+    at least ``floor``, and each WCET at most floor / n, so utilization may
+    exceed 1 only when floor < n."""
+    n = draw(st.integers(1, 4))
+    l = draw(st.sampled_from([4, 6, 8, 12]))
+    floor = draw(st.sampled_from([d for d in range(1, l + 1) if l % d == 0]))
+    periods = st.sampled_from([d for d in range(floor, l + 1) if l % d == 0])
+    wcets = [draw(st.integers(1, max(1, floor // n))) for _ in range(n)]
+    n_trusted = draw(st.integers(0, n))
+    aews = [draw(st.integers(0, floor - 1)) for _ in range(n_trusted)]
+    assignments = draw(st.lists(st.lists(periods, min_size=n, max_size=n),
+                                min_size=1, max_size=3))
+    rows = [(p, l, seed) for p in assignments
+            for seed in draw(st.lists(SEEDS, min_size=1, max_size=3))]
+    return rows, wcets, aews, n_trusted
+
+
+@given(group=small_groups())
+# U = 1 exactly in both assignments
+@example(group=([([2, 4, 4], 4, 0), ([4, 2, 4], 4, 5), ([2, 4, 4], 4, MASK64)],
+                [1, 1, 1], [1], 1))
+# U > 1 in the second and third assignments, which name different deadlines
+@example(group=([([2, 4], 4, 1), ([1, 4], 4, 2), ([4, 1], 4, 3)], [1, 2], [0], 1))
+@settings(max_examples=150, deadline=None)
+def test_small_groups_match_reference(group):
+    check_rows(*group)
+
+
+def automotive_groups():
+    """(wcets, aews, n_trusted, l, every assignment of that hyper-period) for
+    each hyper-period of each automotive set."""
+    groups = {}
+    for periods, wcets, aews, n_trusted, l in automotive_specs():
+        groups.setdefault((tuple(wcets), tuple(aews), n_trusted, l), []).append(periods)
+    return [(*key, assignments) for key, assignments in groups.items()]
+
+
+@given(group=st.sampled_from(automotive_groups()), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_automotive_groups_match_reference(group, data):
+    """Mixed assignments of one hyper-period, several seeds each; HU
+    assignments include overloaded ones."""
+    wcets, aews, n_trusted, l, assignments = group
+    chosen = data.draw(st.lists(st.sampled_from(assignments), min_size=1, max_size=3))
+    rows = [(periods, l, seed) for periods in chosen
+            for seed in data.draw(st.lists(SEEDS, min_size=1, max_size=2))]
+    check_rows(rows, list(wcets), list(aews), n_trusted)
+
+
+def test_first_overloaded_row_in_order_raises_across_horizons():
+    """The overloaded rows of horizon 6 (task 2 misses slot 6) come before
+    those of horizon 4 (slot 4) in order, although horizon 4 has the first
+    row."""
+    rows = [([2, 4], 4, 0), ([2, 3], 6, 1), ([1, 4], 4, 2)]
+    with pytest.raises(Infeasible, match="^task 2 missed a deadline at slot 6$"):
+        kernel.shuffles(rows, [1, 2])
+    with pytest.raises(Infeasible, match="^task 2 missed a deadline at slot 4$"):
+        kernel.shuffles(rows[2:], [1, 2])
+    feasible = [rows[0], ([3, 6], 6, 4), ([4, 4], 4, 5)]
+    assert [list(slots) for slots in kernel.aware_shuffles(feasible, [1, 2], [1], 1)] == [
+        ref_aware_shuffle(periods, [1, 2], [1], 1, l, seed) for periods, l, seed in feasible
+    ]

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maars import kernel
 from maars.schedgen import (
     Schedule,
-    aware_shuffle_schedule,
     enumerate_all,
     generate_pool,
     pool_from_dict,
     save_pool,
-    shuffle_schedule,
     simulate_fixed_priority,
     unique,
     validate_schedule,
     validate_stack,
 )
-from maars.taskmodel import TaskSpec, enumerate_specs
+from maars.taskmodel import TaskSpec, enumerate_specs, hyper_period
+
+from draws import aware_shuffle_schedule, shuffle_schedule
 
 
 @pytest.fixture()
@@ -106,6 +107,30 @@ class TestPool:
         assert [(s.spec, s.slots, s.provenance, s.seed) for s in again] == [
             (s.spec, s.slots, s.provenance, s.seed) for s in pool
         ]
+
+    @pytest.mark.parametrize("attack_aware", [False, True])
+    def test_pool_is_the_one_seed_draws_deduplicated(self, minimal_ts, attack_aware):
+        """``generate_pool`` draws every seed of every spec at once; its pool
+        is the kernel's one-row draws, spec by spec and seed by seed, with
+        the first of each key kept. The 4-slot assignment has few schedules
+        and comes twice, so draws repeat within and across specs."""
+        specs = [*enumerate_specs(minimal_ts), TaskSpec((2, 4), (4,))]
+        aews = [t.aew for t in minimal_ts.trusted]
+        one_at_a_time = []
+        for i, spec in enumerate(specs):
+            periods, l = spec.all_periods(), hyper_period(spec)
+            for k in range(8):
+                seed = 2**64 - 3 + i * 1_000_003 + k
+                if attack_aware:
+                    slots = kernel.aware_shuffle(periods, minimal_ts.wcets, aews, 2, l, seed)
+                else:
+                    slots = kernel.shuffle(periods, minimal_ts.wcets, l, seed)
+                provenance = "attack-aware" if attack_aware else "randomized"
+                one_at_a_time.append(Schedule(spec, tuple(slots), provenance, seed))
+        pool = generate_pool(minimal_ts, specs, seeds_per_spec=8, seed_base=2**64 - 3,
+                             attack_aware=attack_aware)
+        assert pool == unique(one_at_a_time)
+        assert len({s.spec for s in pool}) == 2 < len(pool) < len(one_at_a_time) - 8
 
     def test_unique_keeps_first_of_each_key_in_order(self, minimal_ts, spec2):
         a, b = enumerate_all(minimal_ts, spec2)[:2]
