@@ -6,6 +6,7 @@ raises Infeasible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,17 +112,20 @@ def _dare(A, B, Q, R):
     """Fixed-point iteration for the discrete algebraic Riccati equation;
     raises Infeasible when it diverges or does not converge."""
     P = Q.copy()
+    At, Bt, solve = A.T, B.T, np.linalg.solve
     # overflow on the divergent path is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DARE_MAX_ITER):
-            BtP = B.T @ P
-            gain_term = np.linalg.solve(R + BtP @ B, BtP @ A)
-            AtP = A.T @ P  # A.T @ P @ A groups as (A.T @ P) @ A
+            BtP = Bt @ P
+            gain_term = solve(R + BtP @ B, BtP @ A)
+            AtP = At @ P  # A.T @ P @ A groups as (A.T @ P) @ A
             P_next = Q + AtP @ A - AtP @ B @ gain_term
             P_next = (P_next + P_next.T) / 2
-            if np.max(np.abs(P_next - P)) < DARE_TOL:
+            change = abs(P_next - P).max()
+            if change < DARE_TOL:
                 return P_next
-            if not np.all(np.isfinite(P_next)):
+            # an infinite or NaN entry of P_next makes the change one too
+            if not math.isfinite(change) and not np.isfinite(P_next).all():
                 raise Infeasible("Riccati iteration diverged")
             P = P_next
     raise Infeasible("Riccati iteration did not converge")

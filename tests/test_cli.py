@@ -701,14 +701,24 @@ DIVERGING_SCENARIO = {"compromised_task_id": 5, "victim_id": 2, "injection": "re
                       "value": 1e7}
 
 
+# The runs `golden_stores` makes: output directory -> command, task set, seeds.
+GOLDEN_RUNS = {
+    "analyze": ("analyze", "automotive_lu", "1"),
+    "baseline": ("baseline", "automotive_lu", "3"),
+    "analyze-hu": ("analyze", "automotive_hu", "1"),
+}
+
+
 @pytest.fixture(scope="module")
 def golden_stores(tmp_path_factory):
     """The maars store of `analyze` and the shuffle store of `baseline` on
-    automotive_lu, plus the attack scenario files."""
+    automotive_lu, the maars store of `analyze` on automotive_hu (whose long
+    hyper-periods give hardening the most swaps to try), plus the attack
+    scenario files."""
     root = tmp_path_factory.mktemp("golden")
-    for command, seeds in (("analyze", "1"), ("baseline", "3")):
-        code = main([command, "--taskset", "automotive_lu", "--seeds", seeds,
-                     "--out", str(root / command)])
+    for name, (command, taskset, seeds) in GOLDEN_RUNS.items():
+        code = main([command, "--taskset", taskset, "--seeds", seeds,
+                     "--out", str(root / name)])
         assert code == EXIT_OK
     (root / "scenario.json").write_text(json.dumps(GOLDEN_SCENARIO))
     (root / "diverging.json").write_text(json.dumps(DIVERGING_SCENARIO))
@@ -736,6 +746,7 @@ def golden_argv(arm: str, root, out) -> list[str]:
 STORE_GOLDEN = {
     "analyze": "9dc7b2d7711a4f3fdc95bf466f1e9815e4f182836d175995edc80c44e245bac6",
     "baseline": "591d9869aa81eb8a430e881efe78edfd92d0eac773c4b31cac0a630e946f9c79",
+    "analyze-hu": "d3943a540c3a2af9453c384fa61aea42f1282a0d3cdf5b595117fb924358825c",
 }
 
 
@@ -757,13 +768,23 @@ REPORT_GOLDEN = {
         "vuln.csv": "ceb16eaa32cab5243c4434b427b38698ffceab509ef6c3ebe16f1e046d4e5140",
         "ir.csv": "82180949883d81f6b928d59cd0069fb6d9455fdf0b5fa1f550df6c92b53842f8",
     },
+    "analyze-hu": {
+        "vuln.csv": "35987f3cc648d3c207fd795e28b98d5c06672a4f0d31b4792c65d0f931a7a1ab",
+        "ir.csv": "8591e322e84ba90fd9a0a859e37ec25b210e99263966d0587ba8c204fe5b49a8",
+    },
 }
 
 
+def golden_taskset(name, lu_ts, hu_ts):
+    """The task set of the `golden_stores` run ``name``."""
+    return {"automotive_lu": lu_ts, "automotive_hu": hu_ts}[GOLDEN_RUNS[name][1]]
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
-def test_reports_match_golden(command, golden_stores, lu_ts, tmp_path):
+def test_reports_match_golden(command, golden_stores, lu_ts, hu_ts, tmp_path):
     """The reports of the built store and of the store loaded back."""
-    store = load_store(golden_stores / command / "store.json", lu_ts)
+    store = load_store(golden_stores / command / "store.json",
+                       golden_taskset(command, lu_ts, hu_ts))
     export_reports_csv(store, tmp_path / "vuln.csv")
     write_ir_csv(store, tmp_path / "ir.csv")
     for out in (golden_stores / command, tmp_path):
@@ -773,12 +794,13 @@ def test_reports_match_golden(command, golden_stores, lu_ts, tmp_path):
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
-def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, tmp_path,
-                                                 monkeypatch):
+def test_ir_csv_holds_the_ladder_of_every_triple(command, golden_stores, lu_ts, hu_ts,
+                                                 tmp_path, monkeypatch):
     """ir.csv holds the ladder of every (schedule, victim, attacker) triple,
     folded once per period assignment, distinct victim row and attacker."""
-    store = load_store(golden_stores / command / "store.json", lu_ts)
-    victims, attackers = lu_ts.trusted, lu_ts.untrusted
+    taskset = golden_taskset(command, lu_ts, hu_ts)
+    store = load_store(golden_stores / command / "store.json", taskset)
+    victims, attackers = taskset.trusted, taskset.untrusted
     rows = {v.min_period for v in victims}
     windows = [2 * math.lcm(row, u.period) for row in rows for u in attackers]
     lengths = [s.length for s in store.schedules]
