@@ -232,8 +232,11 @@ def write_summary(
         f"K (first index with SVI >= SVT): {store.k_threshold}",
         f"schedules below SVT: {below} ({below / len(store.schedules):.1%})",
     ]
+    # schedules with equal counts share one report: convert its APs once
+    distinct = {id(r): r for r in store.reports}
+    floats = {key: {tid: float(ap) for tid, ap in r.aps.items()} for key, r in distinct.items()}
     for t in taskset.trusted:
-        aps = [float(r.aps[t.id]) for r in store.reports]
+        aps = [floats[id(r)][t.id] for r in store.reports]
         lines.append(
             f"task {t.id}: avg AP {sum(aps) / len(aps):.4f}, "
             f"max AP {max(aps):.4f}, TAP {t.tap}"

@@ -6,7 +6,6 @@ one validity check (``validate_schedule``), which the store loader runs too.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import defaultdict
@@ -45,9 +44,6 @@ class Schedule:
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Identity of the schedule: its periods and its slots."""
         return self.spec.all_periods(), self.slots
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(repr(self.key).encode()).hexdigest()[:16]
 
 
 def unique(schedules: Iterable[Schedule]) -> list[Schedule]:
@@ -175,8 +171,9 @@ def checked_stack(
 ) -> tuple[list[list[str]], np.ndarray | None]:
     """``validate_stack`` of ``stack``, and the (k, L) slot array of the k
     tuples that pass its checks of length and slot type, in order (None when
-    the periods break the menus). Each slot is checked once, and the frame
-    rules run once, on that array."""
+    the periods break the menus). Each tuple's slot types and range are
+    tested at once, and only a tuple that fails is scanned slot by slot; the
+    frame rules run once, on that array."""
     periods, n = spec.all_periods(), taskset.n_tasks
     if not (
         len(spec.periods) == len(taskset.trusted)
@@ -186,8 +183,9 @@ def checked_stack(
         return [[f"periods {list(periods)}: a trusted period outside its menu or a "
                  "changed untrusted period"] for _ in stack], None
     length = math.lcm(*periods)
-    errors = [[f"slot {t}: {x!r} is not a task id in 0..{n}"
-               for t, x in enumerate(s) if not (type(x) is int and 0 <= x <= n)]
+    errors = [([] if set(map(type, s)) == {int} and 0 <= min(s) and max(s) <= n
+               else [f"slot {t}: {x!r} is not a task id in 0..{n}"
+                     for t, x in enumerate(s) if not (type(x) is int and 0 <= x <= n)])
               if len(s) == length else [f"length {len(s)}, not the hyper-period {length}"]
               for s in stack]
     rows = [r for r, e in enumerate(errors) if not e]
@@ -208,22 +206,45 @@ def checked_stack(
 
 # ---------------------------------------------------------------------------
 # pool serialization
+#
+# A pool document is {"taskset_hash": ..., "schedules": [...]}, one record
+# {"periods", "untrusted_periods", "slots", "provenance", "seed"} per
+# schedule, in pool order. ``pool_json`` writes it as ``json.dumps`` would,
+# byte for byte, from each schedule's slot text and one cached head per spec
+# and provenance; ``pool_from_dict`` reads it back.
 
 
-def pool_to_dict(taskset: TaskSet, pool: list[Schedule]) -> dict:
-    return {
-        "taskset_hash": taskset.content_hash(),
-        "schedules": [
-            {
-                "periods": list(s.spec.periods),
-                "untrusted_periods": list(s.spec.untrusted_periods),
-                "slots": s.slots,  # a tuple encodes as the same JSON array
-                "provenance": s.provenance,
-                "seed": s.seed,
-            }
-            for s in pool
-        ],
-    }
+def slot_texts(stack: np.ndarray) -> list[str]:
+    """The slots of each row of the (k, L) task-id array ``stack`` as text,
+    ``"a, b, c"``: the inside of the row's JSON array, and of its tuple's
+    repr unless L is 1 (that repr is ``(a,)``). One pass over the stack: it
+    indexes a table of fixed-width byte tokens (``b"3, "``) with the ids,
+    drops the NUL padding of the shorter tokens and cuts the text at the
+    rows' cumulative token lengths, less each row's last ``", "``."""
+    tokens = np.array([f"{i}, ".encode() for i in range(int(stack.max(initial=0)) + 1)])
+    data = tokens[stack].view(np.uint8)
+    text = data[data != 0].tobytes().decode()
+    ends = np.cumsum(np.char.str_len(tokens)[stack].sum(axis=1)).tolist()
+    return [text[a : b - 2] for a, b in zip([0, *ends], ends)]
+
+
+def pool_json(taskset: TaskSet, pool: list[Schedule], texts: list[str]) -> str:
+    """The pool document of ``pool`` for ``taskset`` as ``json.dumps`` text,
+    given each schedule's slot text (``slot_texts``), in pool order."""
+    heads: dict[tuple[TaskSpec, str], tuple[str, str]] = {}
+    records = []
+    for s, text in zip(pool, texts):
+        if (parts := heads.get((s.spec, s.provenance))) is None:
+            periods = json.dumps({"periods": list(s.spec.periods),
+                                  "untrusted_periods": list(s.spec.untrusted_periods)})
+            provenance = json.dumps(s.provenance)
+            parts = heads[s.spec, s.provenance] = (
+                f'{periods[:-1]}, "slots": [', f'], "provenance": {provenance}, "seed": ')
+        head, middle = parts
+        seed = "null" if s.seed is None else repr(s.seed)  # an int's JSON is its repr
+        records.append(f"{head}{text}{middle}{seed}}}")
+    return (f'{{"taskset_hash": {json.dumps(taskset.content_hash())}, '
+            f'"schedules": [{", ".join(records)}]}}')
 
 
 def pool_from_dict(data: dict) -> list[Schedule]:
@@ -246,7 +267,12 @@ def pool_from_dict(data: dict) -> list[Schedule]:
 
 
 def save_pool(taskset: TaskSet, pool: list[Schedule], path: str | Path) -> None:
-    text = json.dumps(pool_to_dict(taskset, pool))  # json.dump encodes in pure Python
+    """Write the pool document (``pool_json``) as one JSON line. A pool has
+    no stacks yet: each command builds them once, for its store. Joining the
+    tokens of each slot tuple here costs no more than building them would."""
+    tokens = [f"{i}, " for i in range(taskset.n_tasks + 1)]
+    texts = ["".join(map(tokens.__getitem__, s.slots))[:-2] for s in pool]
+    text = pool_json(taskset, pool, texts)
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")

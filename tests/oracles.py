@@ -1,10 +1,15 @@
-"""Independent re-computations that the tests check the control synthesis
-against: the DARE residual of a solution, and the false-alarm rate of a
-calibrated detector threshold on fresh noise."""
+"""Independent re-computations that the tests check the package against:
+the DARE residual of a solution, the false-alarm rate of a calibrated
+detector threshold on fresh noise, and the schedule hash and the pool and
+store documents, as ``repr`` and ``json.dumps`` make them, that the store's
+tie-break and its writers must reproduce byte for byte."""
+
+import hashlib
 
 import numpy as np
 
 from maars.control import CALIBRATION_DRAWS
+from maars.taskmodel import taskset_to_dict
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -23,3 +28,36 @@ def measure_far(sigma_res: np.ndarray, window: int, threshold: float) -> float:
     z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
     statistic = np.convolve(z, np.ones(window) / window, mode="valid")
     return float(np.mean(statistic > threshold))
+
+
+def content_hash(sched) -> str:
+    """The tie-break hash of a schedule: the first 16 hex digits of the
+    sha256 of the repr of its key, (periods, slots)."""
+    return hashlib.sha256(repr(sched.key).encode()).hexdigest()[:16]
+
+
+def pool_to_dict(taskset, pool) -> dict:
+    """The pool document of ``pool`` for ``taskset``, whose ``json.dumps`` is
+    the text of ``save_pool``."""
+    return {
+        "taskset_hash": taskset.content_hash(),
+        "schedules": [
+            {
+                "periods": list(s.spec.periods),
+                "untrusted_periods": list(s.spec.untrusted_periods),
+                "slots": s.slots,  # a tuple encodes as the same JSON array
+                "provenance": s.provenance,
+                "seed": s.seed,
+            }
+            for s in pool
+        ],
+    }
+
+
+def store_to_dict(store) -> dict:
+    """The store document, whose ``json.dumps`` is the text of ``save_store``:
+    the task set the store was built for and its schedules in SVI order."""
+    return {
+        "taskset": taskset_to_dict(store.taskset),
+        "pool": pool_to_dict(store.taskset, store.schedules),
+    }

@@ -4,6 +4,7 @@ import hashlib
 import json
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from maars.schedgen import (
     pool_from_dict,
     save_pool,
     simulate_fixed_priority,
+    slot_texts,
     unique,
     validate_schedule,
     validate_stack,
@@ -23,6 +25,7 @@ from maars.schedgen import (
 from maars.taskmodel import TaskSpec, enumerate_specs, hyper_period
 
 from draws import aware_shuffle_schedule, shuffle_schedule
+from oracles import content_hash
 
 
 @pytest.fixture()
@@ -144,12 +147,30 @@ class TestPool:
         assert s.key == ((2, 4, 4), s.slots)
         payload = (tuple(s.spec.all_periods()), s.slots)
         assert repr(s.key) == repr(payload)
-        assert s.content_hash() == hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+        assert content_hash(s) == hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
     def test_content_hash_distinguishes_specs(self, minimal_ts):
         a = simulate_fixed_priority(minimal_ts, TaskSpec((2, 4), (4,)))
         b = simulate_fixed_priority(minimal_ts, TaskSpec((3, 4), (4,)))
-        assert a.content_hash() != b.content_hash()
+        assert content_hash(a) != content_hash(b)
+
+
+@st.composite
+def slot_stacks(draw):
+    """A (k, L) stack of task ids 0..12, so that tokens of one and of two
+    digits mix, with k and L from 1."""
+    k, length = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    row = st.lists(st.integers(0, 12), min_size=length, max_size=length)
+    return draw(st.lists(row, min_size=k, max_size=k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_stacks())
+def test_slot_texts_are_the_json_arrays_and_tuple_reprs_inside(rows):
+    texts = slot_texts(np.array(rows, dtype=np.int32))
+    assert texts == [json.dumps(row)[1:-1] for row in rows]
+    for row, text in zip(rows, texts):
+        assert repr(tuple(row)) == (f"({text},)" if len(row) == 1 else f"({text})")
 
 
 class TestValidator:
