@@ -35,7 +35,7 @@ from .control import (
 from .runtime import SelectorState, resolve_flag, run_epoch
 from .schedgen import Schedule
 from .taskmodel import ConfigError, Infeasible, TaskSet, TrustedTask, is_integer, is_real
-from .vulnerability import exposure_windows
+from .vulnerability import stack_exposure
 
 DIVERGENCE_BOUND = 1e6
 
@@ -246,7 +246,10 @@ class CoSimWorld:
         self.sink = sink  # one finished CSV line per simulated slot
 
     def plan(self, sched: Schedule) -> EventPlan:
-        """The event plan of ``sched``, built on its first deployment."""
+        """The event plan of ``sched``, built on its first deployment, from
+        one one-row ``stack_exposure`` call that counts the compromised
+        task's units in each window: the tamper slots are its slots inside
+        a hit window of the victim."""
         cached = self.plans.get(id(sched))
         if cached is not None:
             return cached[1]
@@ -256,19 +259,19 @@ class CoSimWorld:
         for sim, p in zip(self.loops.values(), periods):
             for t in range(0, l, p):
                 boundaries.setdefault(t, []).append(sim)
-        # the slots where a trusted job completes, plus the AEW of each victim
-        # job (slot -> the job) for the attack predicate
-        completions: set[int] = set()
-        aew_owner: dict[int, int] = {}
-        for t in self.taskset.trusted:
-            windows = exposure_windows(slots, t, sched.spec.period_of(t.id))
-            completions.update(w.start - 1 for w in windows)
-            if scenario is not None and t.id == scenario.victim_id:
-                aew_owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
-        done = {t: self.loops[slots[t]] for t in completions if slots[t] in self.loops}
-        hit = {} if scenario is None else {
-            t: job for t, job in aew_owner.items() if slots[t] == scenario.compromised_task_id
-        }
+        exposure = stack_exposure(sched.spec, np.array([slots]), self.taskset.trusted,
+                                  [] if scenario is None else [scenario.compromised_task_id])
+        # the slots where a trusted job with a loop completes, and the slots
+        # where the compromised task hits a victim job (slot -> the job)
+        done: dict[int, ControlLoopSim] = {}
+        hit: dict[int, int] = {}
+        for task, (opens, closes, counts) in zip(self.taskset.trusted, exposure):
+            if task.id in self.loops:
+                done.update((c - 1, self.loops[task.id]) for c in opens[0].tolist())
+            if scenario is not None and task.id == scenario.victim_id:
+                for job in np.flatnonzero(counts[0]).tolist():
+                    hit.update((s, job) for s in range(opens[0, job], closes[0, job])
+                               if slots[s] == scenario.compromised_task_id)
 
         starts: dict[ControlLoopSim, tuple[list[int], list[int]]] = {
             sim: ([], []) for sim in self.loops.values()

@@ -28,7 +28,6 @@ outputs from its own counter (``_draw_group``).
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, count
@@ -148,28 +147,35 @@ def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
     for t in range(l - 2, -1, -1):
         next_release[t] = t + 1 if releases[t + 1] else next_release[t + 1]
     base = [d - demand for d, demand in enumerate(accumulate(due))]
-    # sliding minimum: ``rising`` holds the indices of the window whose base
-    # is below every later one in it, so its head is the window's minimum
+    # window_min[t] = min(base[t + 1 : t + reach]), l if empty: of base[1:], from t on
     reach = max(periods)
-    window_min = [l] * l
-    rising: deque = deque()
-    pushed = 1
-    for t in range(l):
-        end = min(t + reach, l + 1)
-        for d in range(pushed, end):
-            while rising and base[rising[-1]] >= base[d]:
-                rising.pop()
-            rising.append(d)
-        pushed = end
-        if rising and rising[0] == t:
-            rising.popleft()
-        if rising:
-            window_min[t] = base[rising[0]]
+    lo = np.arange(l)
+    span = np.minimum(reach - 1, l - lo)
+    minima = _sparse_table(np.array(base[1:], dtype=np.int32), reach)
+    window_min = np.where(span > 0, _range_min(minima, lo, span), l).tolist()
     overload = None
     if base[l] < 0:
         d = next(d for d in range(l + 1) if base[d] < 0)
         overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
     return _Tables(periods, wcets, releases, next_release, base, window_min, overload)
+
+
+def _sparse_table(values: np.ndarray, longest: int) -> np.ndarray:
+    """Row k holds min(values[i : i + 2**k]) at i, or ``_NO_INTERVAL`` where
+    that range runs past the end, for ranges of up to ``longest`` values."""
+    minima = np.full((longest.bit_length(), len(values)), _NO_INTERVAL, dtype=np.int32)
+    minima[0] = values
+    for k in range(1, len(minima)):
+        half = 1 << (k - 1)
+        np.minimum(minima[k - 1, :-half], minima[k - 1, half:], out=minima[k, :-half])
+    return minima
+
+
+def _range_min(minima: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """min(values[lo : lo + span]) from ``_sparse_table``'s ``minima``, by
+    index arrays; a span of 0 gives a value that means nothing."""
+    level = np.frexp(np.maximum(span, 1))[1] - 1  # floor(log2(span))
+    return np.minimum(minima[level, lo], minima[level, lo + span - (1 << level)])
 
 
 def _demand(periods: tuple, base: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -179,26 +185,18 @@ def _demand(periods: tuple, base: np.ndarray, start: int, stop: int) -> np.ndarr
     stacks three rows of n: the tasks by deadline (stably), the inverse of
     that order, and the slack of each deadline d in that order, min(base[lo:d])
     - base[t] - 1 with lo the deadline before it (t + 1 for the first), or
-    ``_NO_INTERVAL`` when d = lo. Range minima come from a sparse table."""
+    ``_NO_INTERVAL`` when d = lo. Range minima come from ``_sparse_table``."""
     t = np.arange(start, stop, dtype=np.int32)[:, None]
     p = np.array(periods, dtype=np.int32)
     deadlines = t - t % p + p
     order = deadlines.argsort(axis=1, kind="stable")
     ends = np.take_along_axis(deadlines, order, axis=1)
     starts = np.concatenate([t + 1, ends[:, :-1]], axis=1)
-    # row k holds min(base[i : i + 2**k]) at i - offset, for every interval
-    # [lo, d) of these slots
+    # the minima of base over every interval [lo, d) of these slots, at lo - offset
     offset = start + 1
-    window = base[offset : stop + max(periods)]
-    minima = np.full((max(periods).bit_length(), len(window)), _NO_INTERVAL, dtype=np.int32)
-    minima[0] = window
-    for k in range(1, len(minima)):
-        half = 1 << (k - 1)
-        np.minimum(minima[k - 1, :-half], minima[k - 1, half:], out=minima[k, :-half])
+    minima = _sparse_table(base[offset : stop + max(periods)], max(periods))
     span = ends - starts
-    level = np.frexp(np.maximum(span, 1))[1] - 1  # floor(log2(span))
-    lowest = np.minimum(minima[level, starts - offset],
-                        minima[level, ends - offset - (1 << level)])
+    lowest = _range_min(minima, starts - offset, span)
     slack = np.where(span > 0, lowest - base[start:stop, None] - 1, _NO_INTERVAL)
     return np.stack([order, order.argsort(axis=1), slack], axis=1).astype(np.int32)
 

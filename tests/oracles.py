@@ -1,8 +1,9 @@
 """Independent re-computations that the tests check the package against:
 the DARE residual of a solution, the false-alarm rate of a calibrated
-detector threshold on fresh noise, and the schedule hash and the pool and
-store documents, as ``repr`` and ``json.dumps`` make them, that the store's
-tie-break and its writers must reproduce byte for byte."""
+detector threshold on fresh noise, every job's exposure window found one job
+at a time, and the schedule hash and the pool and store documents, as
+``repr`` and ``json.dumps`` make them, that the store's tie-break and its
+writers must reproduce byte for byte."""
 
 import hashlib
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from maars.control import CALIBRATION_DRAWS
 from maars.taskmodel import taskset_to_dict
+from maars.vulnerability import completion_slot, exposure_window
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -28,6 +30,17 @@ def measure_far(sigma_res: np.ndarray, window: int, threshold: float) -> float:
     z = np.einsum("ij,jk,ik->i", res, np.linalg.inv(sigma_res), res)
     statistic = np.convolve(z, np.ones(window) / window, mode="valid")
     return float(np.mean(statistic > threshold))
+
+
+def exposure_windows(slots, task, period: int) -> list[range]:
+    """The AEW of every job of ``task`` in ``slots``, in job order, one
+    ``completion_slot`` scan per job; job j completes at
+    ``windows[j].start - 1``."""
+    completions = (
+        completion_slot(slots, task.id, task.wcet, period, job)
+        for job in range(len(slots) // period)
+    )
+    return [exposure_window(c, task.aew, period) for c in completions]
 
 
 def content_hash(sched) -> str:

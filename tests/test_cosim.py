@@ -5,6 +5,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,11 @@ from maars.cosim import (
 )
 from maars.runtime import make_selector, resolve_flag
 from maars.schedgen import simulate_fixed_priority
-from maars.taskmodel import ConfigError
-from maars.vulnerability import build_store, exposure_windows
+from maars.taskmodel import ConfigError, enumerate_specs
+from maars.vulnerability import build_store, stack_exposure
+
+from draws import shuffle_schedule
+from oracles import exposure_windows
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +46,15 @@ def lu_bits(lu_ts, plants):
     drawn = draw_schedules(lu_ts, [(spec, s) for s in range(12)], attack_aware=True)
     pool = [harden_schedule(s, lu_ts) for s in drawn]
     return build_store(pool, lu_ts)
+
+
+@pytest.fixture(scope="module")
+def multi_unit(lu_ts):
+    """automotive_lu with jobs of three and two units for tasks 1 and 2 and
+    an AEW of 0 for task 3, and a cache of its worlds by scenario."""
+    changes = {1: {"wcet": 3}, 2: {"wcet": 2}, 3: {"aew": 0}}
+    trusted = tuple(replace(t, **changes.get(t.id, {})) for t in lu_ts.trusted)
+    return replace(lu_ts, trusted=trusted), {}
 
 
 class TestScenario:
@@ -395,21 +408,51 @@ class TestEventPlan:
         if bound < DIVERGENCE_BOUND:
             assert got.diverged and got.time_slots % 60 != 0
 
-    def test_one_plan_per_deployed_schedule(self, plants, lu_ts, lu_bits, monkeypatch):
+    def test_one_plan_per_deployed_schedule(self, plants, lu_bits, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return exposure_windows(*args)
+            return stack_exposure(*args)
 
-        monkeypatch.setattr(maars.cosim, "exposure_windows", counted)
+        monkeypatch.setattr(maars.cosim, "stack_exposure", counted)
         sc = AttackScenario(5, 2, injection="bias", value=1.0)
         selector = make_selector(lu_bits, seed=3)
         _, world = run_scenario(plants, sc, selector, seed=3, epochs=40, sink=io.StringIO())
         deployed = {e.index for e in selector.deployments}
         assert len(deployed) < 40  # some schedule was deployed again
         assert len(world.plans) == len(deployed)
-        assert len(calls) == len(lu_ts.trusted) * len(deployed)
+        assert len(calls) == len(deployed)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_plan_matches_oracle_on_multi_unit_victims(self, plants, multi_unit, data):
+        """On the LU task set with WCETs 3 and 2 for tasks 1 and 2 and task 3's
+        AEW at 0, the plan's completion events and its tamper slot -> job
+        map are those built from ``oracles.exposure_windows``."""
+        ts, worlds = multi_unit
+        spec = data.draw(st.sampled_from(enumerate_specs(ts)))
+        sched = shuffle_schedule(ts, spec, data.draw(st.integers(0, 2**62)))
+        # each victim, each attacker: one world apiece
+        scenario = AttackScenario(*data.draw(st.sampled_from([(5, 1), (6, 2), (7, 3)])))
+        if scenario not in worlds:
+            # a fixed detector threshold: the plan does not read it, and
+            # calibrating one per loop and period is most of a world's set-up
+            fixed = {name: replace(plant, detector_threshold=1.0)
+                     for name, plant in plants.items()}
+            worlds[scenario] = CoSimWorld(ts, fixed, scenario, seed=0, sink=io.StringIO())
+        world = worlds[scenario]
+        completions, owner = {}, {}
+        for t in ts.trusted:
+            windows = exposure_windows(sched.slots, t, spec.period_of(t.id))
+            completions.update((w.start - 1, world.loops[t.id]) for w in windows)
+            if t.id == scenario.victim_id:
+                owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
+        tamper = {slot: job for slot, job in owner.items()
+                  if sched.slots[slot] == scenario.compromised_task_id}
+        events = world.plan(sched).events
+        assert {t: done for t, _, _, done, _ in events if done is not None} == completions
+        assert {t: job for t, _, _, _, job in events if job is not None} == tamper
 
     def test_noiseless_run_draws_nothing(self, plants, lu_static_store):
         _, world = run_scenario(
