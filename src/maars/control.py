@@ -2,6 +2,13 @@
 synthesis, augmented closed-loop assembly, and the windowed chi-square
 residue detector. A period whose discretization or gain synthesis fails
 raises Infeasible.
+
+SciPy is imported by ``discretize``, on the first loop designed, not with
+the module: a command that designs no loop (``maars baseline``) never loads
+it. The per-step products of the DARE and of the detector are
+``ndarray.dot`` calls, which cost half of ``@`` on these small arrays and
+give its bits on every operand layout the package passes them
+(``tests/test_control.py`` checks them against the ``@`` forms).
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .taskmodel import Infeasible, is_integer, is_real, load_json
 
@@ -95,6 +101,8 @@ def discretize(plant: PlantModel, h: float) -> tuple[np.ndarray, np.ndarray]:
     the discrete A in the top-left block and the input integral in the
     top-right.
     """
+    from scipy.linalg import expm
+
     if h <= 0:
         raise ValueError("sampling period must be positive")
     n, p = plant.B.shape
@@ -116,10 +124,10 @@ def _dare(A, B, Q, R):
     # overflow on the divergent path is expected and detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DARE_MAX_ITER):
-            BtP = Bt @ P
-            gain_term = solve(R + BtP @ B, BtP @ A)
-            AtP = At @ P  # A.T @ P @ A groups as (A.T @ P) @ A
-            P_next = Q + AtP @ A - AtP @ B @ gain_term
+            BtP = Bt.dot(P)
+            gain_term = solve(R + BtP.dot(B), BtP.dot(A))
+            AtP = At.dot(P)  # A.T @ P @ A groups as (A.T @ P) @ A
+            P_next = Q + AtP.dot(A) - AtP.dot(B).dot(gain_term)
             P_next = (P_next + P_next.T) / 2
             change = abs(P_next - P).max()
             if change < DARE_TOL:
@@ -146,7 +154,10 @@ def kalman_gain(plant: PlantModel, A_h: np.ndarray) -> tuple[np.ndarray, ...]:
     """Steady-state Kalman gain, innovation covariance and its inverse via
     the dual DARE. A covariance singular to working precision (|det| below
     1e-300) raises LinAlgError, as a singular solve does."""
-    S = _dare(A_h.T, plant.C.T, plant.W, plant.V)
+    # A_h is a view into the exponential, and ndarray.dot would copy its
+    # transpose to C order, where @ multiplies it as it is, and sum in
+    # another order; a Fortran-order copy is the layout @ reads
+    S = _dare(np.asfortranarray(A_h.T), plant.C.T, plant.W, plant.V)
     innovation = plant.C @ S @ plant.C.T + plant.V
     if abs(np.linalg.det(innovation)) < 1e-300:
         raise np.linalg.LinAlgError("singular residue covariance")
@@ -221,7 +232,7 @@ class Detector:
         self.g = 0.0
 
     def step(self, residue: np.ndarray, sigma_inv: np.ndarray) -> tuple[float, bool]:
-        z = float(residue @ sigma_inv @ residue)
+        z = float(residue.dot(sigma_inv).dot(residue))  # (r @ S) @ r
         self.buffer.append(z)
         self.g = sum(self.buffer) / len(self.buffer)
         return self.g, self.g > self.threshold

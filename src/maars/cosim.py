@@ -135,7 +135,7 @@ class ControlLoopSim:
     def advance_plant(self, time_s: float):
         """Period boundary: actuate with the (possibly tampered) buffer."""
         loop = self.loop
-        x = loop.A @ self.x + loop.B @ self.buffer + next(self.w_noise)
+        x = loop.A.dot(self.x) + loop.B.dot(self.buffer) + next(self.w_noise)
         self.x = x
         # np.linalg.norm's own formula for a real vector
         self.norm = math.sqrt(x.dot(x))
@@ -146,14 +146,14 @@ class ControlLoopSim:
         """Sample, estimate, detect, and compute the next control input."""
         loop = self.loop
         C = self.plant.C
-        y = C @ self.x + next(self.v_noise)
-        _, alarm = self.detector.step(y - C @ self.xhat, loop.innovation_inv)
+        y = C.dot(self.x) + next(self.v_noise)
+        _, alarm = self.detector.step(y - C.dot(self.xhat), loop.innovation_inv)
         if alarm:
             self.alarmed = True
-        self.xhat = loop.estimator @ self.xhat + loop.B @ self.u_cmd + loop.L @ y
+        self.xhat = loop.estimator.dot(self.xhat) + loop.B.dot(self.u_cmd) + loop.L.dot(y)
         # tamper rebinds the buffer and never writes into it, so both names
         # may hold one array
-        self.u_cmd = self.buffer = self.neg_gain @ self.xhat
+        self.u_cmd = self.buffer = self.neg_gain.dot(self.xhat)
 
     def tamper(self, injection: str, value: float):
         if injection == "replace":

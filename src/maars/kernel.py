@@ -118,10 +118,12 @@ class _Tables:
 
     releases[t]: tasks released at slot t. next_release[t]: the first
     release time after t (l if none). base[d] = d minus the work of every
-    job with deadline <= d. window_min[t] = min(base[t+1 : t+max period]),
-    the least base over the interval ends a job ready at t can reach.
-    overload: (task id, deadline) of the first deadline no schedule meets,
-    when total utilization exceeds 1.
+    job with deadline <= d. slow[t]: whether min(base[t+1 : t+max period])
+    (l if empty), the least base over the interval ends a job ready at t
+    can reach, is at most base[t], so that a choice at t can leave no slack
+    and must be tested (a boolean array, one byte per slot). overload:
+    (task id, deadline) of the first deadline no schedule meets, when total
+    utilization exceeds 1.
     """
 
     periods: tuple
@@ -129,7 +131,7 @@ class _Tables:
     releases: list
     next_release: list
     base: list
-    window_min: list
+    slow: np.ndarray
     overload: tuple | None
 
 
@@ -147,17 +149,18 @@ def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
     for t in range(l - 2, -1, -1):
         next_release[t] = t + 1 if releases[t + 1] else next_release[t + 1]
     base = [d - demand for d, demand in enumerate(accumulate(due))]
-    # window_min[t] = min(base[t + 1 : t + reach]), l if empty: of base[1:], from t on
+    # min(base[t + 1 : t + reach]), l if empty: of base[1:], from t on
     reach = max(periods)
     lo = np.arange(l)
     span = np.minimum(reach - 1, l - lo)
-    minima = _sparse_table(np.array(base[1:], dtype=np.int32), reach)
-    window_min = np.where(span > 0, _range_min(minima, lo, span), l).tolist()
+    bases = np.array(base, dtype=np.int32)
+    minima = _sparse_table(bases[1:], reach)
+    slow = np.where(span > 0, _range_min(minima, lo, span), l) <= bases[:l]
     overload = None
     if base[l] < 0:
         d = next(d for d in range(l + 1) if base[d] < 0)
         overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
-    return _Tables(periods, wcets, releases, next_release, base, window_min, overload)
+    return _Tables(periods, wcets, releases, next_release, base, slow, overload)
 
 
 def _sparse_table(values: np.ndarray, longest: int) -> np.ndarray:
@@ -259,7 +262,7 @@ def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
     Fisher-Yates order from the row's stream (one output per swap, none for
     a single task), class-partitioned while a trusted window is open, then
     the first job that keeps every deadline (``_admissible``, only at slots
-    where some row's ``window_min`` leaves no slack). Each row's list is
+    where some row's table is ``slow``). Each row's list is
     held reversed, so that swap c of every row fixes column c; a row's
     first candidate is then its admissible task of the preferred class in
     the highest column.
@@ -267,8 +270,7 @@ def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
     n = len(tabs[0].periods)
     rows = len(states)
     bases = [np.array(tab.base, dtype=np.int32) for tab in tabs]
-    slow = np.logical_or.reduce(
-        [np.array(tab.window_min) <= base[:l] for tab, base in zip(tabs, bases)]).tolist()
+    slow = np.logical_or.reduce([tab.slow for tab in tabs]).tolist()
     releasing = [any(tab.releases[t] for tab in tabs) for t in range(l)]
     periods = np.array([tab.periods for tab in tabs], dtype=np.int32)
     wcets = np.array(tabs[0].wcets, dtype=np.int32)
@@ -411,7 +413,7 @@ def enumerate_all(periods, wcets, l, budget):
     if tab.overload:
         return []
     table = _demand(tab.periods, np.array(tab.base, dtype=np.int32), 0, l)
-    slow = np.array(tab.window_min) <= tab.base[:l]
+    slow = tab.slow
     n = len(periods)
     rem = [0] * n
     slots = [0] * l

@@ -5,7 +5,9 @@ per-subsystem factor under every switching choice, which licenses arbitrary
 period switching at a target exponential rate. Solved by alternating
 projections: eigenvalue clipping onto the PD cone interleaved with
 half-space cuts derived from the worst-violating eigenvector of each
-Lyapunov inequality.
+Lyapunov inequality. SciPy, for the warm start's Lyapunov solves, is
+imported by ``find_cqlf`` on its first search, not with the module, so that
+a command that certifies nothing does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .taskmodel import ConfigError
 
@@ -116,6 +117,8 @@ def find_cqlf(matrices, alphas, max_sweeps: int = DEFAULT_SWEEPS) -> np.ndarray 
     # (A/sqrt(1+alpha))' P (A/sqrt(1+alpha)) - P = -I. Each term solves its
     # own inequality exactly, so the sum is usually close to a common P and
     # far better conditioned than the identity for stiff loops.
+    import scipy.linalg
+
     P = np.zeros((d, d))
     for A in scaled:
         P = P + scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(d))

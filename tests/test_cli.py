@@ -7,6 +7,9 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -98,6 +101,40 @@ class TestBaseline:
         code = main(["baseline", "--taskset", "minimal", "--seeds", "3",
                      "--seed-base", str(2**70), "--out", str(tmp_path)])
         assert code == EXIT_OK
+
+
+# Run in a fresh interpreter: whether SciPy is loaded after importing the
+# command, after a baseline run and after an analyze run
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import maars.cli
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+out, loaded, codes = sys.argv[1], [scipy_loaded()], []
+with contextlib.redirect_stdout(io.StringIO()):
+    for command, taskset, seeds in (("baseline", "minimal", "2"),
+                                    ("analyze", "automotive_lu", "1")):
+        codes.append(maars.cli.main([command, "--taskset", taskset, "--seeds", seeds,
+                                     "--out", f"{out}/{command}"]))
+        loaded.append(scipy_loaded())
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_scipy_loads_only_where_a_loop_is_designed(tmp_path):
+    """SciPy serves loop design and CQLF search alone: importing the command
+    and a baseline run, which designs no loop, load none of it; analyze on
+    a task set with plants, which prunes periods on their loops, does."""
+    src = Path(maars.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert loaded == [False, False, True]
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
-"""Control synthesis: ZOH discretization, DARE, gains, detector calibration."""
+"""Control synthesis: ZOH discretization, DARE, gains, detector calibration,
+and the per-step products against their ``@`` forms."""
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maars import control
 from maars.control import (
     Detector,
     PlantModel,
@@ -18,8 +21,16 @@ from maars.control import (
     kalman_gain,
     lqr_gain,
 )
+from maars.cosim import ControlLoopSim
 from maars.taskmodel import Infeasible
-from oracles import dare_residual, measure_far
+from oracles import (
+    dare_residual,
+    matmul_advance_plant,
+    matmul_dare,
+    matmul_detector_step,
+    matmul_job_complete,
+    measure_far,
+)
 
 
 def double_integrator():
@@ -212,3 +223,143 @@ class TestPlantIO:
                 name="bad", A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
                 W=W, V=V, Q=np.eye(2), R=[[1.0]],
             )
+
+
+# ---------------------------------------------------------------------------
+# The per-step products are ``ndarray.dot`` calls; each must give the bits of
+# its ``@`` form (tests/oracles.py), in the same grouping and sum order, on
+# every operand layout the package passes: C order, views into a larger
+# array (``discretize``'s blocks of the exponential) and Fortran order (the
+# transpose of a C-order array, not C-contiguous, as C.T in the Kalman DARE,
+# and the Fortran-order copy of A.T that ``kalman_gain`` passes it).
+
+
+def stored(M: np.ndarray, layout: str) -> np.ndarray:
+    """``M`` in C order, in Fortran order, or as a view into a larger array."""
+    if layout == "view":
+        rows, cols = M.shape
+        block = np.zeros((rows + 2, cols + 3))
+        block[:rows, :cols] = M
+        return block[:rows, :cols]
+    return np.ascontiguousarray(M) if layout == "C" else np.asfortranarray(M)
+
+
+@st.composite
+def plant_arrays(draw):
+    """Random plant-shaped arrays, n 1-6 states, 1-3 inputs and 1-3 outputs,
+    each matrix's entries scaled by its own power of ten and the matrix
+    ``stored`` in a drawn layout; Q, W positive-semidefinite, R, V
+    definite."""
+    n, m, q = (draw(st.integers(1, hi)) for hi in (6, 3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def held(M):
+        return stored(M, draw(st.sampled_from(["C", "F", "view"])))
+
+    def matrix(rows, cols):
+        return held(rng.standard_normal((rows, cols)) * 10.0 ** draw(st.integers(-3, 3)))
+
+    def covariance(k, floor):
+        F = rng.standard_normal((k, k))
+        return held(F @ F.T + floor * np.eye(k))
+
+    return SimpleNamespace(
+        n=n, m=m, q=q, rng=rng,
+        A=matrix(n, n), B=matrix(n, m), C=matrix(q, n), K=matrix(m, n), L=matrix(n, q),
+        estimator=matrix(n, n), Q=covariance(n, 0.0), R=covariance(m, 0.1),
+        W=covariance(n, 0.0), V=covariance(q, 0.1), sigma_inv=covariance(q, 0.1),
+    )
+
+
+def outcome(call, dare=_dare, max_iter=200):
+    """The bytes of the arrays ``call()`` returns, or its error message, and
+    the number of solves it made (one per DARE iteration), with ``dare`` as
+    the DARE and at most ``max_iter`` iterations."""
+    solve, solves = np.linalg.solve, []
+
+    def counted(a, b):
+        solves.append(None)
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", counted)
+        mp.setattr(control, "DARE_MAX_ITER", max_iter)
+        mp.setattr(control, "_dare", dare)
+        try:
+            arrays = call()
+            result = [a.tobytes() for a in (arrays if isinstance(arrays, tuple) else [arrays])]
+        except (Infeasible, np.linalg.LinAlgError) as exc:
+            result = str(exc)
+    return result, len(solves)
+
+
+def sim_state(sim) -> tuple:
+    """The bytes of every number a plant step or a job completion writes."""
+    floats = [sim.norm, *(v for step in sim.norm_trace for v in step), sim.detector.g,
+              *sim.detector.buffer]
+    return (sim.x.tobytes(), sim.xhat.tobytes(), sim.u_cmd.tobytes(), sim.buffer.tobytes(),
+            np.array(floats).tobytes(), sim.alarmed)
+
+
+class TestDotProducts:
+    @given(case=plant_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_gains_match_matmul(self, case):
+        """``lqr_gain`` and ``kalman_gain`` (the dual DARE) on the drawn
+        A_h and B_h, with the package's DARE and with the ``@`` one: the same
+        gains, or the same failure after the same number of iterations."""
+        plant = PlantModel(name="drawn", A=case.A, B=case.B, C=case.C, W=case.W, V=case.V,
+                           Q=case.Q, R=case.R)
+        for call in (lambda: lqr_gain(plant, case.A, case.B),
+                     lambda: kalman_gain(plant, case.A)):
+            assert outcome(call) == outcome(call, dare=matmul_dare)
+
+    @pytest.mark.parametrize("A, B, message", [
+        # an unstable mode that B cannot reach: P overflows
+        (np.diag([10.0, 0.5]), np.array([[0.0], [1.0]]), "Riccati iteration diverged"),
+        # a marginal mode with little authority: P climbs for thousands of steps
+        (np.array([[1.0]]), np.array([[1e-3]]), "Riccati iteration did not converge"),
+    ])
+    def test_dare_failures_match_matmul(self, A, B, message):
+        n, m = B.shape
+        args = (A, B, np.eye(n), np.eye(m))
+        result = outcome(lambda: control._dare(*args))
+        assert result[0] == message
+        assert result == outcome(lambda: control._dare(*args), dare=matmul_dare)
+
+    @given(case=plant_arrays(), window=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_detector_matches_matmul(self, case, window):
+        dot, matmul = Detector(window, 1.0), Detector(window, 1.0)
+        for _ in range(4):
+            residue = case.rng.standard_normal(case.q)
+            (g, alarm), (g_ref, alarm_ref) = (
+                dot.step(residue, case.sigma_inv),
+                matmul_detector_step(matmul, residue, case.sigma_inv))
+            assert (np.float64(g).tobytes(), alarm) == (np.float64(g_ref).tobytes(), alarm_ref)
+
+    @given(case=plant_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_plant_steps_match_matmul(self, case):
+        """Plant steps and job completions, alternating, from one state and
+        one noise sequence."""
+        rng = case.rng
+        sim = ControlLoopSim.__new__(ControlLoopSim)  # the state the two steps read
+        sim.loop = SimpleNamespace(A=case.A, B=case.B, L=case.L, estimator=case.estimator,
+                                   innovation_inv=case.sigma_inv)
+        sim.plant = SimpleNamespace(C=case.C)
+        sim.neg_gain = case.K
+        sim.x, sim.xhat = rng.standard_normal(case.n), rng.standard_normal(case.n)
+        sim.u_cmd = sim.buffer = rng.standard_normal(case.m)
+        sim.detector = Detector(2, 1.0)
+        sim.w_noise = iter(rng.standard_normal((4, case.n)))
+        sim.v_noise = iter(rng.standard_normal((4, case.q)))
+        sim.norm, sim.norm_trace, sim.alarmed = 0.0, [], False
+        reference = copy.deepcopy(sim)
+        for k in range(4):
+            sim.advance_plant(k)
+            matmul_advance_plant(reference, k)
+            assert sim_state(sim) == sim_state(reference)
+            sim.job_complete()
+            matmul_job_complete(reference)
+            assert sim_state(sim) == sim_state(reference)

@@ -4,6 +4,7 @@ equivalence with a forward-EDF-lookahead reference."""
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -388,13 +389,13 @@ def reference_tables(periods, wcets, l):
     ]
     base = [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
     reach = max(periods)
-    window_min = [min(base[t + 1 : t + reach], default=l) for t in range(l)]
+    slow = [min(base[t + 1 : t + reach], default=l) <= base[t] for t in range(l)]
     overload = None
     if base[l] < 0:
         d = next(d for d in range(l + 1) if base[d] < 0)
         overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
     return kernel._Tables(
-        tuple(periods), tuple(wcets), releases, next_release, base, window_min, overload
+        tuple(periods), tuple(wcets), releases, next_release, base, slow, overload
     )
 
 
@@ -413,9 +414,10 @@ def period_wcet_sets(draw):
 def test_tables_match_definitions(case):
     periods, wcets = case
     l = math.lcm(*periods)
-    assert kernel._tables.__wrapped__(tuple(periods), tuple(wcets), l) == (
-        reference_tables(periods, wcets, l)
-    )
+    tables = kernel._tables.__wrapped__(tuple(periods), tuple(wcets), l)
+    # the slow flags are one boolean array, the reference's a list
+    assert tables.slow.dtype == bool
+    assert replace(tables, slow=tables.slow.tolist()) == reference_tables(periods, wcets, l)
 
 
 # ---------------------------------------------------------------------------
