@@ -36,7 +36,6 @@ import json
 import logging
 import math
 import sys
-import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -44,12 +43,13 @@ import numpy as np
 
 from . import DEFAULT_DECAY_RATE, __version__, data_path
 from .control import PlantModel, design_loop, load_plant
-from .cosim import AttackScenario, run_scenario, save_trace_csv
+from .cosim import AttackScenario, run_scenario, save_trace_csv, trace_spool
 from .kernel import BACKEND
 from .ladder import aei_sizes, build_ladder, inferability_ratio
 from .runtime import make_selector, save_log_csv
 from .schedgen import (
-    DEFAULT_ENUM_BUDGET, generate_pool, save_pool, simulate_fixed_priority, unique,
+    DEFAULT_ENUM_BUDGET, generate_pool, row_blocks, save_pool, simulate_fixed_priority,
+    unique,
 )
 from .secureperiods import prune_security
 from .stability import decay_alpha, prune_performance
@@ -180,11 +180,11 @@ def write_ir_csv(store, path: Path) -> None:
 
     A ladder depends on the victim only through its row (its minimum
     period), so |AEI| is computed once per distinct row and attacker, for a
-    whole period-assignment stack of the store (``ScheduleStore.stacks``) at
-    a time (``aei_sizes``). Each distinct (row, attacker, |AEI|) cell is
-    formatted once, from the ladder of the first schedule that has it, and so
-    is each distinct set of a schedule's lines, with its index left to fill
-    in.
+    block of rows (``schedgen.row_blocks``) of each period-assignment stack
+    of the store (``ScheduleStore.stacks``) at a time (``aei_sizes``). Each
+    distinct (row, attacker, |AEI|) cell is formatted once, from the ladder
+    of the first schedule that has it, and so is each distinct set of a
+    schedule's lines, with its index left to fill in.
     """
     ts = store.taskset
     row_victims: dict[int, TrustedTask] = {}
@@ -193,8 +193,9 @@ def write_ir_csv(store, path: Path) -> None:
     pairs = [(victim, u) for victim in row_victims.values() for u in ts.untrusted]
     sizes = np.empty((len(store.schedules), len(pairs)), dtype=np.int64)
     for _, members, stack in store.stacks:
-        for j, (victim, u) in enumerate(pairs):
-            sizes[members, j] = aei_sizes(stack, victim, u)
+        for rows in row_blocks(len(members)):
+            for j, (victim, u) in enumerate(pairs):
+                sizes[members[rows], j] = aei_sizes(stack[rows], victim, u)
     # each line of a schedule: its text after the index, and its column of sizes
     lines = [(f",{v.id},{u.id},", pairs.index((row_victims[v.min_period], u)))
              for v in ts.trusted for u in ts.untrusted]
@@ -287,7 +288,10 @@ def cmd_analyze(args) -> int:
         budget=args.exhaustive_budget, seed_base=args.seed_base, attack_aware=maars,
     )
     if maars and not args.exhaustive:
-        pool = unique(harden_schedule(s, pruned) for s in pool)
+        # in place: each drawn schedule is dropped once it is hardened
+        for i in range(len(pool)):
+            pool[i] = harden_schedule(pool[i], pruned)
+        pool = unique(pool)
     if not pool:
         raise Infeasible("empty schedule pool")
     # made only now, so a run that fails its input checks leaves no --out behind
@@ -348,9 +352,9 @@ def cmd_simulate(args) -> int:
             store.k_threshold = len(store.schedules)
     selector = make_selector(store, seed=args.seed_base)
 
-    # the trace lines go to a spool file as each epoch ends; --out is made
-    # only once the run is over
-    with tempfile.TemporaryFile("w+", newline="") as spool:
+    # the trace lines go to a spool file beside --out as each epoch ends;
+    # --out is made only once the run is over, and the spool moved into it
+    with trace_spool(out) as spool:
         metrics, world = run_scenario(
             plants, scenario, selector,
             seed=args.seed_base, epochs=args.epochs, sink=spool,

@@ -11,20 +11,21 @@ boundaries with the buffer contents, so tampering lands exactly one sample
 later, matching the discrete closed-loop model.
 
 A run holds one epoch's trace lines at a time: each hyper-period writes its
-finished CSV lines to a text sink that the caller owns (``trace.csv``'s
-spool, or an ``io.StringIO``), and only the victim's loop records its
-``||x||`` trace for the settling and decay metrics. Memory therefore stays
-bounded by one epoch's lines, the victim's norm trace and the deployment
-log, whatever the number of epochs.
+finished CSV lines to a text sink that the caller owns (``trace_spool``,
+which ``save_trace_csv`` moves into place, or an ``io.StringIO``), and only
+the victim's loop records its ``||x||`` trace for the settling and decay
+metrics. Memory therefore stays bounded by one epoch's lines, the victim's
+norm trace and the deployment log, whatever the number of epochs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from shutil import copyfileobj
 from typing import TextIO
 
 import numpy as np
@@ -430,7 +431,10 @@ def run_scenario(
         selector.store.taskset, plants, scenario, seed, sink,
         noise_scale=noise_scale, divergence_bound=divergence_bound,
     )
-    deployments = run_epoch(selector, world, epochs)
+    # a diverging plant overflows to inf and nan: the divergence bound
+    # detects it and ends the run, so NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        deployments = run_epoch(selector, world, epochs)
 
     victim_id = scenario.victim_id if scenario is not None else None
     settle, rate = None, None
@@ -453,10 +457,27 @@ def run_scenario(
     }, world
 
 
+@contextmanager
+def trace_spool(out: Path) -> Iterator[TextIO]:
+    """The sink of a run whose ``trace.csv`` goes into the directory ``out``:
+    a new file that holds the CSV header, in the nearest of ``out`` and its
+    ancestors that exists, so that it lies on the filesystem of ``out``,
+    for ``save_trace_csv`` to move. It is closed on exit, and removed unless
+    it was moved."""
+    home = next(p for p in (out, *out.parents) if p.is_dir())
+    path = home / f".trace-{os.urandom(8).hex()}.csv"
+    spool = open(path, "x", newline="")
+    try:
+        with spool:
+            spool.write("time_s,running_task,victim_norm,victim_u,g,alarm\r\n")
+            yield spool
+    finally:
+        path.unlink(missing_ok=True)
+
+
 def save_trace_csv(world: CoSimWorld, path: str | Path) -> None:
-    """Write ``trace.csv``: the header, then every line the run wrote to its
-    sink, copied from the sink's start in chunks."""
-    world.sink.seek(0)
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,running_task,victim_norm,victim_u,g,alarm\r\n")
-        copyfileobj(world.sink, fh)
+    """Put ``trace.csv`` at ``path``: the run's sink, a ``trace_spool``
+    holding the header and then every line the run wrote, flushed and moved
+    there, so no byte of it is written twice."""
+    world.sink.flush()
+    os.replace(world.sink.name, path)

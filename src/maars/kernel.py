@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, count
 
 import numpy as np
@@ -135,7 +134,6 @@ class _Tables:
     overload: tuple | None
 
 
-@lru_cache(maxsize=256)
 def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
     if any(l % p for p in periods):
         raise ValueError(f"horizon {l} is not a multiple of every period {periods}")
@@ -232,19 +230,24 @@ def _lockstep(rows, wcets, aews, n_trusted, salt) -> list[tuple[int, ...]]:
     row, in order. Raises Infeasible for the first row, in order, whose
     utilization exceeds 1; the rows of each horizon are then drawn together
     (``_draw_group``)."""
-    tables = [_tables(tuple(periods), tuple(wcets), l) for periods, l, _ in rows]
-    for tab in tables:
+    wcets = tuple(wcets)
+    # each distinct task set's tables, built once per call and dropped with it
+    tables: dict[tuple, _Tables] = {}
+    groups: dict[int, list[int]] = {}
+    for r, (periods, l, _) in enumerate(rows):
+        periods = tuple(periods)
+        if (periods, l) not in tables:
+            tables[periods, l] = _tables(periods, wcets, l)
+        groups.setdefault(l, []).append(r)
+    for tab in tables.values():  # in the order of their first rows
         if tab.overload:
             raise _deadline_miss(*tab.overload)
-    groups: dict[int, list[int]] = {}
-    for r, (_, l, _) in enumerate(rows):
-        groups.setdefault(l, []).append(r)
     drawn: list[tuple[int, ...]] = [()] * len(rows)
     for l, members in groups.items():
         distinct: dict[tuple, int] = {}  # the group's periods -> their index
-        spec_of = np.array([distinct.setdefault(tables[r].periods, len(distinct))
+        spec_of = np.array([distinct.setdefault(tuple(rows[r][0]), len(distinct))
                             for r in members])
-        tabs = [_tables(periods, tuple(wcets), l) for periods in distinct]
+        tabs = [tables[periods, l] for periods in distinct]
         states = np.array([(rows[r][2] ^ salt) & MASK64 for r in members], dtype=np.uint64)
         stack = _draw_group(tabs, spec_of, states, l, aews, n_trusted)
         for r, slots in zip(members, stack):

@@ -20,6 +20,11 @@ from . import kernel
 from .taskmodel import TaskSet, TaskSpec, hyper_period
 
 DEFAULT_ENUM_BUDGET = 200_000
+# the rows of a stack, or the schedules of a pool, that a pass over them
+# (``slot_texts``, the exposure counts of vulnerability analysis, the records
+# of ``pool_json``) works on at once: its temporaries grow with the block,
+# not with the pool
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,12 @@ def stacks(schedules: list[Schedule]) -> Iterator[tuple[TaskSpec, list[int], np.
     for spec, members in group_by_spec(schedules).items():
         yield spec, members, slot_array([schedules[i].slots for i in members],
                                         schedules[members[0]].length)
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """The slices of at most ``BLOCK_ROWS`` rows that cover rows 0..n-1, in
+    order."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
 
 
 def slot_array(rows: list[tuple[int, ...]], length: int) -> np.ndarray:
@@ -209,42 +220,55 @@ def checked_stack(
 #
 # A pool document is {"taskset_hash": ..., "schedules": [...]}, one record
 # {"periods", "untrusted_periods", "slots", "provenance", "seed"} per
-# schedule, in pool order. ``pool_json`` writes it as ``json.dumps`` would,
-# byte for byte, from each schedule's slot text and one cached head per spec
-# and provenance; ``pool_from_dict`` reads it back.
+# schedule, in pool order. ``pool_json`` makes it as ``json.dumps`` would,
+# byte for byte, a block of records at a time, from each schedule's slot
+# text and one cached head per spec and provenance; ``pool_from_dict`` reads
+# it back.
 
 
 def slot_texts(stack: np.ndarray) -> list[str]:
     """The slots of each row of the (k, L) task-id array ``stack`` as text,
     ``"a, b, c"``: the inside of the row's JSON array, and of its tuple's
-    repr unless L is 1 (that repr is ``(a,)``). One pass over the stack: it
-    indexes a table of fixed-width byte tokens (``b"3, "``) with the ids,
-    drops the NUL padding of the shorter tokens and cuts the text at the
-    rows' cumulative token lengths, less each row's last ``", "``."""
+    repr unless L is 1 (that repr is ``(a,)``). One pass per block of rows
+    (``row_blocks``): it indexes a table of fixed-width byte tokens
+    (``b"3, "``) with the ids, drops the NUL padding of the shorter tokens
+    and cuts the text at the rows' cumulative token lengths, less each row's
+    last ``", "``."""
     tokens = np.array([f"{i}, ".encode() for i in range(int(stack.max(initial=0)) + 1)])
-    data = tokens[stack].view(np.uint8)
-    text = data[data != 0].tobytes().decode()
-    ends = np.cumsum(np.char.str_len(tokens)[stack].sum(axis=1)).tolist()
-    return [text[a : b - 2] for a, b in zip([0, *ends], ends)]
+    lengths = np.char.str_len(tokens).astype(np.uint8)  # rows summed in 64 bits
+    texts: list[str] = []
+    for rows in row_blocks(len(stack)):
+        block = stack[rows]
+        data = tokens[block].view(np.uint8)
+        text = data[data != 0].tobytes().decode()
+        ends = np.cumsum(lengths[block].sum(axis=1)).tolist()
+        texts += [text[a : b - 2] for a, b in zip([0, *ends], ends)]
+    return texts
 
 
-def pool_json(taskset: TaskSet, pool: list[Schedule], texts: list[str]) -> str:
+def pool_json(taskset: TaskSet, pool: list[Schedule], texts: Iterable[str]) -> Iterator[str]:
     """The pool document of ``pool`` for ``taskset`` as ``json.dumps`` text,
-    given each schedule's slot text (``slot_texts``), in pool order."""
+    in pieces that join to it: its head, the records of each block of
+    schedules (``row_blocks``) and its tail, given each schedule's slot text
+    (``slot_texts``) in pool order. ``texts`` may be an iterator: each block
+    takes its texts from it as its records are made."""
     heads: dict[tuple[TaskSpec, str], tuple[str, str]] = {}
-    records = []
-    for s, text in zip(pool, texts):
-        if (parts := heads.get((s.spec, s.provenance))) is None:
-            periods = json.dumps({"periods": list(s.spec.periods),
-                                  "untrusted_periods": list(s.spec.untrusted_periods)})
-            provenance = json.dumps(s.provenance)
-            parts = heads[s.spec, s.provenance] = (
-                f'{periods[:-1]}, "slots": [', f'], "provenance": {provenance}, "seed": ')
-        head, middle = parts
-        seed = "null" if s.seed is None else repr(s.seed)  # an int's JSON is its repr
-        records.append(f"{head}{text}{middle}{seed}}}")
-    return (f'{{"taskset_hash": {json.dumps(taskset.content_hash())}, '
-            f'"schedules": [{", ".join(records)}]}}')
+    texts = iter(texts)
+    yield f'{{"taskset_hash": {json.dumps(taskset.content_hash())}, "schedules": ['
+    for rows in row_blocks(len(pool)):
+        records = []
+        for s, text in zip(pool[rows], texts):
+            if (parts := heads.get((s.spec, s.provenance))) is None:
+                periods = json.dumps({"periods": list(s.spec.periods),
+                                      "untrusted_periods": list(s.spec.untrusted_periods)})
+                provenance = json.dumps(s.provenance)
+                parts = heads[s.spec, s.provenance] = (
+                    f'{periods[:-1]}, "slots": [', f'], "provenance": {provenance}, "seed": ')
+            head, middle = parts
+            seed = "null" if s.seed is None else repr(s.seed)  # an int's JSON is its repr
+            records.append(f"{head}{text}{middle}{seed}}}")
+        yield f'{", " if rows.start else ""}{", ".join(records)}'
+    yield "]}"
 
 
 def pool_from_dict(data: dict) -> list[Schedule]:
@@ -267,12 +291,13 @@ def pool_from_dict(data: dict) -> list[Schedule]:
 
 
 def save_pool(taskset: TaskSet, pool: list[Schedule], path: str | Path) -> None:
-    """Write the pool document (``pool_json``) as one JSON line. A pool has
-    no stacks yet: each command builds them once, for its store. Joining the
-    tokens of each slot tuple here costs no more than building them would."""
+    """Write the pool document (``pool_json``) as one JSON line, each piece
+    as it is made. A pool has no stacks yet: each command builds them once,
+    for its store. Joining the tokens of each slot tuple here costs no more
+    than building them would."""
     tokens = [f"{i}, " for i in range(taskset.n_tasks + 1)]
-    texts = ["".join(map(tokens.__getitem__, s.slots))[:-2] for s in pool]
-    text = pool_json(taskset, pool, texts)
+    texts = ("".join(map(tokens.__getitem__, s.slots))[:-2] for s in pool)
     with open(path, "w") as fh:
-        fh.write(text)
+        for piece in pool_json(taskset, pool, texts):
+            fh.write(piece)
         fh.write("\n")

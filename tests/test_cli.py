@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -941,7 +942,7 @@ def test_failure_in_mid_run_leaves_no_out(golden_stores, tmp_path, capsys, monke
     """An error raised in the third epoch, after the trace spool is open and
     two epochs' lines are in it: exit 3 with one line, no --out, and the
     spool closed."""
-    run_hyper_period, open_spool = CoSimWorld.run_hyper_period, tempfile.TemporaryFile
+    run_hyper_period, open_spool = CoSimWorld.run_hyper_period, maars.cli.trace_spool
     spools = []
 
     def failing(world, sched):
@@ -949,17 +950,64 @@ def test_failure_in_mid_run_leaves_no_out(golden_stores, tmp_path, capsys, monke
             raise Infeasible("injected in epoch 2")
         return run_hyper_period(world, sched)
 
+    @contextlib.contextmanager
     def recorded(*args, **kwargs):
-        spools.append(open_spool(*args, **kwargs))
-        return spools[-1]
+        with open_spool(*args, **kwargs) as spool:
+            spools.append(spool)
+            yield spool
 
     monkeypatch.setattr(CoSimWorld, "run_hyper_period", failing)
-    monkeypatch.setattr(maars.cli.tempfile, "TemporaryFile", recorded)
+    monkeypatch.setattr(maars.cli, "trace_spool", recorded)
     out = tmp_path / "out"
     assert main(golden_argv("maars-attack", golden_stores, out)) == EXIT_INFEASIBLE
     assert capsys.readouterr().err == "infeasible: injected in epoch 2\n"
     assert not out.exists()
     assert len(spools) == 1 and spools[0].closed
+
+
+@pytest.mark.parametrize("out", ["out", "new/nested/out", "existing"])
+def test_failure_in_mid_run_leaves_no_file_beside_out(out, golden_stores, tmp_path,
+                                                      capsys, monkeypatch):
+    """The trace spool lies in the nearest existing directory of --out and
+    its ancestors, and a run that fails mid-way removes it: no file is left
+    there, whether --out is new, nested in new directories or exists."""
+    run_hyper_period = CoSimWorld.run_hyper_period
+
+    def failing(world, sched):
+        if world.epoch == 2:
+            assert len(list(tmp_path.rglob(".trace-*.csv"))) == 1  # the spool, mid-run
+            raise Infeasible("injected in epoch 2")
+        return run_hyper_period(world, sched)
+
+    monkeypatch.setattr(CoSimWorld, "run_hyper_period", failing)
+    work = tmp_path / "work"
+    (work / "existing").mkdir(parents=True)
+    assert main(golden_argv("maars-attack", golden_stores, work / out)) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: injected in epoch 2\n"
+    assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == ["existing"]
+
+
+def test_trace_csv_is_the_moved_spool(golden_stores, tmp_path):
+    """A run that succeeds leaves its artifacts and no spool, and trace.csv
+    gets the permissions of a file the run writes itself (metrics.json)."""
+    out = tmp_path / "out"
+    assert main(golden_argv("maars-attack", golden_stores, out)) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "deployments.csv", "metrics.json", "trace.csv"]
+    assert (out / "trace.csv").stat().st_mode == (out / "metrics.json").stat().st_mode
+
+
+def test_diverging_run_warns_nothing(tmp_path, capsys):
+    """A plant driven past every float diverges: the run reports it in
+    metrics.json and exits 0, and NumPy's overflow warnings stay silent."""
+    argv = ["simulate", "--taskset", "automotive_lu", "--policy", "static", "--epochs", "3",
+            "--noise-scale", "1e300", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    assert json.loads((tmp_path / "metrics.json").read_text())["diverged"] is True
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("arm", sorted(SIMULATE_GOLDEN))

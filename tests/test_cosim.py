@@ -25,6 +25,7 @@ from maars.cosim import (
     run_scenario,
     save_trace_csv,
     trace_line,
+    trace_spool,
     victim_columns,
 )
 from maars.runtime import make_selector, resolve_flag
@@ -169,12 +170,20 @@ class TestMetrics:
 
 class TestTrace:
     def test_trace_csv(self, tmp_path, plants, lu_static_store):
+        """The run's ``trace_spool``, moved into place, is the header and the
+        lines the same run writes to any other sink; no spool is left."""
         sc = AttackScenario(5, 2, injection="bias", value=5.0)
-        _, world = run_scenario(
-            plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2, sink=io.StringIO()
-        )
-        path = tmp_path / "trace.csv"
-        save_trace_csv(world, path)
+        sink = io.StringIO()
+        run_scenario(plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2, sink=sink)
+        path = tmp_path / "out" / "trace.csv"
+        with trace_spool(path.parent) as spool:
+            _, world = run_scenario(
+                plants, sc, make_selector(lu_static_store, 0), seed=0, epochs=2, sink=spool
+            )
+            path.parent.mkdir()
+            save_trace_csv(world, path)
+        assert list(tmp_path.iterdir()) == [path.parent]
+        assert list(path.parent.iterdir()) == [path]
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("time_s,running_task")
         assert len(lines) == 1 + 2 * 60  # two hyper-periods of 60 slots
@@ -184,7 +193,7 @@ class TestTrace:
         )
         assert path.read_bytes().startswith(header.getvalue().encode())
         # the file is the header and every line the run wrote to its sink
-        assert path.read_bytes() == (header.getvalue() + world.sink.getvalue()).encode()
+        assert path.read_bytes() == (header.getvalue() + sink.getvalue()).encode()
 
     def test_memory_does_not_grow_with_the_lines(self, lu_ts, plants):
         """A run holds one epoch's lines at a time: running 4N epochs instead

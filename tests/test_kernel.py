@@ -414,7 +414,7 @@ def period_wcet_sets(draw):
 def test_tables_match_definitions(case):
     periods, wcets = case
     l = math.lcm(*periods)
-    tables = kernel._tables.__wrapped__(tuple(periods), tuple(wcets), l)
+    tables = kernel._tables(tuple(periods), tuple(wcets), l)
     # the slow flags are one boolean array, the reference's a list
     assert tables.slow.dtype == bool
     assert replace(tables, slow=tables.slow.tolist()) == reference_tables(periods, wcets, l)
