@@ -15,7 +15,11 @@ finished CSV lines to a text sink that the caller owns (``trace_spool``,
 which ``save_trace_csv`` moves into place, or an ``io.StringIO``), and only
 the victim's loop records its ``||x||`` trace for the settling and decay
 metrics. Memory therefore stays bounded by one epoch's lines, the victim's
-norm trace and the deployment log, whatever the number of epochs.
+norm trace and the deployment log, whatever the number of epochs. The
+records that grow with a run are typed arrays: the norm trace is two arrays
+of doubles (16 bytes a plant step), and each deployed schedule's event plan
+five columns of small integers (16 bytes an event), two of them indices into
+tables of loops that the world's plans share.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -37,6 +41,11 @@ from .runtime import SelectorState, resolve_flag, run_epoch
 from .schedgen import Schedule
 from .taskmodel import ConfigError, Infeasible, TaskSet, TrustedTask, is_integer, is_real
 from .vulnerability import stack_exposure
+
+if TYPE_CHECKING:
+    # imported where a world is built: loading its extension module adds
+    # 68 KiB to the RSS of a command that never simulates
+    from array import array
 
 DIVERGENCE_BOUND = 1e6
 
@@ -119,9 +128,9 @@ class ControlLoopSim:
         self.v_noise: Iterator[np.ndarray] = iter(())
         self.alarmed = False
         self.norm = math.sqrt(self.x.dot(self.x))  # ||x||, kept current by advance_plant
-        # (time s, ||x||) at each plant step; a list for the victim's loop
-        # only (CoSimWorld sets it), no trace for any other
-        self.norm_trace: list[tuple[float, float]] | None = None
+        # (times s, ||x||) of the plant steps, two arrays of doubles; for the
+        # victim's loop only (CoSimWorld sets it), no trace for any other
+        self.norm_trace: tuple[array, array] | None = None
 
     def set_period(self, period: int):
         self.loop = self.loops[period]
@@ -141,7 +150,9 @@ class ControlLoopSim:
         # np.linalg.norm's own formula for a real vector
         self.norm = math.sqrt(x.dot(x))
         if self.norm_trace is not None:
-            self.norm_trace.append((time_s, self.norm))
+            times, norms = self.norm_trace
+            times.append(time_s)
+            norms.append(self.norm)
 
     def job_complete(self):
         """Sample, estimate, detect, and compute the next control input."""
@@ -185,18 +196,21 @@ def noise_rows(z: np.ndarray | None, starts: np.ndarray, factor: np.ndarray,
 class EventPlan:
     """What one hyper-period of a schedule does, slot by slot, for a world.
 
-    ``events`` lists, in slot order, every slot where something happens
-    (slot 0 always), with the slot where the next event falls (or the
-    hyper-period's end), the loops whose period boundary falls there (in
-    world order), the loop whose job completes there, and the victim job
-    that a compromised execution there hits. Each event draws its noise in
-    that order: ``starts[i]`` holds the offsets of loop i's process draws (one per
-    period boundary, slot 0 first) and of its measurement draws (one per
+    ``events`` holds five parallel ``array`` columns, one entry per slot
+    where something happens (slot 0 always), in slot order: the slot and the
+    slot where the next event falls (or the hyper-period's end), the number
+    of the loops whose period boundary falls there (in world order) in the
+    world's ``advancing`` table (0: none), the number of the loop whose job
+    completes there in its ``loop_at`` table (0: none), and the victim job
+    that a compromised execution there hits (-1: none); the two numbers are
+    unsigned shorts, the rest C ints. Each event draws its noise in that
+    order: ``starts[i]`` holds the offsets of loop i's process draws (one
+    per period boundary, slot 0 first) and of its measurement draws (one per
     completion) in the epoch's block of ``total`` standard normals.
     """
 
     periods: list[int]  # of each loop, in world order
-    events: list[tuple[int, int, list[ControlLoopSim], ControlLoopSim | None, int | None]]
+    events: tuple[array, array, array, array, array]
     starts: list[tuple[np.ndarray, np.ndarray]]
     total: int
     victim_jobs: int
@@ -216,6 +230,8 @@ class CoSimWorld:
         noise_scale: float = 1.0,
         divergence_bound: float = DIVERGENCE_BOUND,
     ):
+        from array import array
+
         self.taskset = taskset
         self.scenario = scenario
         if scenario is not None:
@@ -235,10 +251,16 @@ class CoSimWorld:
                     raise KeyError(f"task {t.id}: no plant named {t.plant!r}")
                 self.loops[t.id] = ControlLoopSim(t, plants[t.plant], taskset.delta)
         if scenario is not None and scenario.victim_id in self.loops:
-            self.loops[scenario.victim_id].norm_trace = []
+            self.loops[scenario.victim_id].norm_trace = (array("d"), array("d"))
         self.noise_scale = noise_scale
         # id(schedule) -> (schedule, plan); holding the schedule keeps its id unique
         self.plans: dict[int, tuple[Schedule, EventPlan]] = {}
+        # the tables that the plans' columns number into: each distinct tuple
+        # of loops whose period boundaries share a slot, numbered in the
+        # order first seen (0: none), and each loop, 1 + its world order
+        # (0: None)
+        self.advancing: dict[tuple[ControlLoopSim, ...], int] = {(): 0}
+        self.loop_at: list[ControlLoopSim | None] = [None, *self.loops.values()]
         self.epoch = 0
         self.time_slots = 0
         self.diverged = False
@@ -254,6 +276,8 @@ class CoSimWorld:
         cached = self.plans.get(id(sched))
         if cached is not None:
             return cached[1]
+        from array import array
+
         slots, l, scenario = sched.slots, sched.length, self.scenario
         periods = [sched.spec.period_of(task_id) for task_id in self.loops]
         boundaries: dict[int, list[ControlLoopSim]] = {0: []}
@@ -278,10 +302,10 @@ class CoSimWorld:
             sim: ([], []) for sim in self.loops.values()
         }
         total = 0
-        events = []
+        rows = []
         event_slots = sorted(boundaries.keys() | done.keys() | hit.keys())
         for t, stop in zip(event_slots, [*event_slots[1:], l]):
-            advancing = boundaries.get(t, [])
+            advancing = tuple(boundaries.get(t, ()))
             for sim in advancing:
                 starts[sim][0].append(total)
                 total += sim.w_factor.shape[0]
@@ -289,11 +313,12 @@ class CoSimWorld:
             if completing is not None:
                 starts[completing][1].append(total)
                 total += completing.v_factor.shape[0]
-            events.append((t, stop, advancing, completing, hit.get(t)))
+            rows.append((t, stop, self.advancing.setdefault(advancing, len(self.advancing)),
+                         self.loop_at.index(completing), hit.get(t, -1)))
         plan = EventPlan(
             periods=periods,
-            events=events,
-            starts=[(np.array(w, dtype=np.intp), np.array(v, dtype=np.intp))
+            events=tuple(array(code, column) for code, column in zip("iiHHi", zip(*rows))),
+            starts=[(np.array(w, dtype=np.int32), np.array(v, dtype=np.int32))
                     for w, v in starts.values()],
             total=total,
             victim_jobs=0 if scenario is None else l // sched.spec.period_of(scenario.victim_id),
@@ -332,7 +357,9 @@ class CoSimWorld:
         hit_jobs: set[int] = set()
         trace: list[str] = []  # this epoch's lines
         end = l
-        for t, stop, advancing, done, job in plan.events:
+        advancing_sets, loop_at = list(self.advancing), self.loop_at
+        for t, stop, a, c, job in zip(*plan.events):
+            advancing, done = advancing_sets[a], loop_at[c]
             # period boundaries (skip the synchronous release at t=0 of the
             # very first epoch: no input computed yet)
             if base + t > 0:
@@ -347,7 +374,7 @@ class CoSimWorld:
             if done is not None:
                 done.job_complete()
                 stale = stale or done is victim
-            if attack_on and job is not None:
+            if attack_on and job >= 0:
                 if victim is not None:
                     victim.tamper(self.scenario.injection, self.scenario.value)
                     stale = True
@@ -383,15 +410,15 @@ def trace_line(time_s: float, running: int, victim_text: str) -> str:
 
 
 def _fit_metrics(
-    norm_trace: list[tuple[float, float]],
+    norm_trace: tuple[array, array],
     settle_band: float,
 ) -> tuple[float | None, float | None]:
     """Settling time (first time after which ||x|| stays inside the band)
-    and exponential decay rate fitted to log ||x||."""
-    if not norm_trace:
+    and exponential decay rate fitted to log ||x||, from the two arrays of
+    a norm trace, read in place."""
+    times, norms = (np.frombuffer(column) for column in norm_trace)
+    if not len(times):
         return None, None
-    times = np.array([t for t, _ in norm_trace])
-    norms = np.array([v for _, v in norm_trace])
     settled = None
     outside = norms > settle_band
     if not outside.any():

@@ -72,7 +72,9 @@ def matmul_advance_plant(sim, time_s: float):
     sim.x = x
     sim.norm = math.sqrt(x.dot(x))
     if sim.norm_trace is not None:
-        sim.norm_trace.append((time_s, sim.norm))
+        times, norms = sim.norm_trace
+        times.append(time_s)
+        norms.append(sim.norm)
 
 
 def matmul_job_complete(sim):

@@ -2,6 +2,7 @@
 and the per-step products against their ``@`` forms."""
 
 import copy
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,8 +296,8 @@ def outcome(call, dare=_dare, max_iter=200):
 
 def sim_state(sim) -> tuple:
     """The bytes of every number a plant step or a job completion writes."""
-    floats = [sim.norm, *(v for step in sim.norm_trace for v in step), sim.detector.g,
-              *sim.detector.buffer]
+    times, norms = sim.norm_trace
+    floats = [sim.norm, *times, *norms, sim.detector.g, *sim.detector.buffer]
     return (sim.x.tobytes(), sim.xhat.tobytes(), sim.u_cmd.tobytes(), sim.buffer.tobytes(),
             np.array(floats).tobytes(), sim.alarmed)
 
@@ -354,7 +355,7 @@ class TestDotProducts:
         sim.detector = Detector(2, 1.0)
         sim.w_noise = iter(rng.standard_normal((4, case.n)))
         sim.v_noise = iter(rng.standard_normal((4, case.q)))
-        sim.norm, sim.norm_trace, sim.alarmed = 0.0, [], False
+        sim.norm, sim.norm_trace, sim.alarmed = 0.0, (array("d"), array("d")), False
         reference = copy.deepcopy(sim)
         for k in range(4):
             sim.advance_plant(k)

@@ -5,6 +5,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,6 +48,58 @@ def lu_bits(lu_ts, plants):
     drawn = draw_schedules(lu_ts, [(spec, s) for s in range(12)], attack_aware=True)
     pool = [harden_schedule(s, lu_ts) for s in drawn]
     return build_store(pool, lu_ts)
+
+
+@pytest.fixture(scope="module")
+def long_store(lu_ts):
+    """An attack-aware store of three hardened LU schedules that span 2100
+    slots, LU's longest hyper-period."""
+    from maars.schedgen import draw_schedules
+    from maars.taskmodel import TaskSpec
+    from maars.vulnerability import harden_schedule
+
+    spec = TaskSpec(periods=(15, 25, 35, 30), untrusted_periods=(10, 30, 20))
+    drawn = draw_schedules(lu_ts, [(spec, s) for s in range(3)], attack_aware=True)
+    store = build_store([harden_schedule(s, lu_ts) for s in drawn], lu_ts)
+    assert {sched.length for sched in store.schedules} == {2100}
+    return store
+
+
+@pytest.fixture(scope="module")
+def traced_runs(plants, long_store):
+    """Attack runs of N and 4N epochs on ``long_store``, each into a
+    temporary file under tracemalloc: (its traced peak, the traced memory it
+    holds at its end with its world and selector, the bytes it wrote, its
+    victim's plant steps) per run. An untraced run goes first, so that what
+    first calls import or cache is held by neither."""
+    sc = AttackScenario(5, 2, injection="bias", value=1.0)
+    run_scenario(plants, sc, make_selector(long_store, 3), seed=3, epochs=1, sink=io.StringIO())
+    runs = []
+    for epochs in (5, 20):
+        with tempfile.TemporaryFile("w+", newline="") as sink:
+            tracemalloc.start()
+            try:
+                selector = make_selector(long_store, 3)
+                _, world = run_scenario(plants, sc, selector, seed=3, epochs=epochs, sink=sink)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            runs.append((peak, held, sink.tell(), len(world.loops[2].norm_trace[0])))
+    return runs
+
+
+def norm_trace(steps):
+    """A norm trace, its two arrays, of the (time s, ||x||) of plant steps."""
+    return array("d", [t for t, _ in steps]), array("d", [v for _, v in steps])
+
+
+def decoded_events(world, plan):
+    """The events of ``plan`` as (slot, next event slot, advancing loops,
+    completing loop or None, hit victim job or None), read through the
+    tables of ``world``."""
+    advancing = list(world.advancing)
+    return [(t, stop, advancing[a], world.loop_at[c], None if job < 0 else job)
+            for t, stop, a, c, job in zip(*plan.events)]
 
 
 @pytest.fixture(scope="module")
@@ -154,18 +207,18 @@ class TestPolicies:
 
 class TestMetrics:
     def test_fit_metrics_settling(self):
-        trace = [(0.0, 5.0), (1.0, 2.0), (2.0, 0.05), (3.0, 0.04)]
+        trace = norm_trace([(0.0, 5.0), (1.0, 2.0), (2.0, 0.05), (3.0, 0.04)])
         settled, rate = _fit_metrics(trace, settle_band=0.1)
         assert settled == 2.0
         assert rate < 0
 
     def test_fit_metrics_never_settles(self):
-        trace = [(0.0, 5.0), (1.0, 5.0)]
+        trace = norm_trace([(0.0, 5.0), (1.0, 5.0)])
         settled, _ = _fit_metrics(trace, settle_band=0.1)
         assert settled is None
 
     def test_empty_trace(self):
-        assert _fit_metrics([], 0.1) == (None, None)
+        assert _fit_metrics(norm_trace([]), 0.1) == (None, None)
 
 
 class TestTrace:
@@ -195,38 +248,38 @@ class TestTrace:
         # the file is the header and every line the run wrote to its sink
         assert path.read_bytes() == (header.getvalue() + sink.getvalue()).encode()
 
-    def test_memory_does_not_grow_with_the_lines(self, lu_ts, plants):
+    def test_memory_does_not_grow_with_the_lines(self, traced_runs):
         """A run holds one epoch's lines at a time: running 4N epochs instead
         of N raises its traced peak by less than the extra epochs' lines take
-        in the file, let alone as str objects (the victim's norm trace and
-        the deployment log still grow, by far less). The schedules span
-        2100 slots, LU's longest hyper-period, so that N epochs' lines alone
+        in the file, let alone as str objects (the victim's norm trace, the
+        deployment log and the plans of newly deployed schedules still grow,
+        by far less: ``test_records_are_compact``). The schedules span 2100
+        slots, LU's longest hyper-period, so that N epochs' lines alone
         outweigh the detector calibration's transient peak."""
-        from maars.schedgen import draw_schedules
-        from maars.taskmodel import TaskSpec
-        from maars.vulnerability import harden_schedule
-
-        spec = TaskSpec(periods=(15, 25, 35, 30), untrusted_periods=(10, 30, 20))
-        drawn = draw_schedules(lu_ts, [(spec, s) for s in range(3)], attack_aware=True)
-        store = build_store([harden_schedule(s, lu_ts) for s in drawn], lu_ts)
-        assert {sched.length for sched in store.schedules} == {2100}
-        sc = AttackScenario(5, 2, injection="bias", value=1.0)
-
-        def peak_and_bytes(epochs):
-            with tempfile.TemporaryFile("w+", newline="") as sink:
-                tracemalloc.start()
-                try:
-                    run_scenario(plants, sc, make_selector(store, 3), seed=3,
-                                 epochs=epochs, sink=sink)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                return peak, sink.tell()
-
-        n = 5
-        peak, written = peak_and_bytes(n)
-        peak_4n, written_4n = peak_and_bytes(4 * n)
+        (peak, _, written, _), (peak_4n, _, written_4n, _) = traced_runs
         assert peak_4n - peak < written_4n - written
+
+    def test_records_are_compact(self, lu_ts, plants, long_store, traced_runs):
+        """The records that grow with a run are typed arrays. The plan of a
+        2100-slot schedule holds under 32 bytes an event (five small
+        integers and the noise offsets; as tuples and lists it took 205),
+        and 4N epochs instead of N raise the memory a run holds at its end
+        by under 24 bytes per extra plant step of the victim (its norm trace
+        takes two doubles a step, the deployment log 3 bytes more; as tuples
+        of floats it took 73 in all). Not the peak: the detector
+        calibration's transient sets it, and without that, which epoch's
+        lines take the most room varies by more than the trace adds."""
+        world = CoSimWorld(lu_ts, plants, AttackScenario(5, 2), seed=0, sink=io.StringIO())
+        world.plan(long_store.schedules[1])  # first calls allocate what they cache
+        tracemalloc.start()
+        try:
+            plan = world.plan(long_store.schedules[0])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 32 * len(plan.events[0])
+        (_, held, _, steps), (_, held_4n, _, steps_4n) = traced_runs
+        assert held_4n - held < 24 * (steps_4n - steps)
 
 
 # floats of every kind, with -0.0, nan, +-inf and subnormals always in reach
@@ -459,7 +512,7 @@ class TestEventPlan:
                 owner.update((slot, job) for job, w in enumerate(windows) for slot in w)
         tamper = {slot: job for slot, job in owner.items()
                   if sched.slots[slot] == scenario.compromised_task_id}
-        events = world.plan(sched).events
+        events = decoded_events(world, world.plan(sched))
         assert {t: done for t, _, _, done, _ in events if done is not None} == completions
         assert {t: job for t, _, _, _, job in events if job is not None} == tamper
 
