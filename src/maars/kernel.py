@@ -7,13 +7,15 @@ highest priority = task id 1), with integer periods that divide the horizon
 
 Every randomized or enumerated choice keeps the remaining jobs schedulable.
 That is decided by the processor-demand criterion (Baruah, Rosier & Howell,
-Real-Time Systems 1990) on tables precomputed per task set and slot
-(``_demand``), so a choice costs no lookahead simulation. At slot t the
-current deadlines depend on t alone, so the tasks in deadline order and the
-slack of each interval between consecutive deadlines are looked up, and a
+Real-Time Systems 1990) on one computation per task set, so a choice costs
+no lookahead simulation: its demand bound in closed form (``_base``), and
+from it, a chunk of slots at a time, a table per slot (``_demand``). At slot
+t the current deadlines depend on t alone, so the tasks in deadline order and
+the slack of each interval between consecutive deadlines are looked up, and a
 schedule enters only through the units its current jobs have run
 (``_admissible``, the one processor-demand rule of the shuffles and of the
-enumeration).
+enumeration, run only at slots with a negative slack: elsewhere every task
+passes).
 
 The randomized draws (and the runtime selector's) come from SplitMix64
 streams. SplitMix64 is counter-based (Steele, Lea & Flood, OOPSLA 2014):
@@ -28,8 +30,7 @@ outputs from its own counter (``_draw_group``).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import chain, count
 
 import numpy as np
 
@@ -111,54 +112,15 @@ def simulate_fp(periods, wcets, l):
     return slots
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """A task set's jobs over [0, l), independent of the schedule drawn.
-
-    releases[t]: tasks released at slot t. next_release[t]: the first
-    release time after t (l if none). base[d] = d minus the work of every
-    job with deadline <= d. slow[t]: whether min(base[t+1 : t+max period])
-    (l if empty), the least base over the interval ends a job ready at t
-    can reach, is at most base[t], so that a choice at t can leave no slack
-    and must be tested (a boolean array, one byte per slot). overload:
-    (task id, deadline) of the first deadline no schedule meets, when total
-    utilization exceeds 1.
-    """
-
-    periods: tuple
-    wcets: tuple
-    releases: list
-    next_release: list
-    base: list
-    slow: np.ndarray
-    overload: tuple | None
-
-
-def _tables(periods: tuple, wcets: tuple, l: int) -> _Tables:
+def _base(periods: tuple, wcets: tuple, l: int) -> np.ndarray:
+    """The processor-demand bound of a task set over [0, l]: base[d] = d
+    minus the work of every job with deadline <= d, d - sum(e_i * (d //
+    p_i)), as (l + 1,) int32. No schedule meets every deadline iff base[l]
+    < 0, and a miss is then reported at the first d with base[d] < 0."""
     if any(l % p for p in periods):
         raise ValueError(f"horizon {l} is not a multiple of every period {periods}")
-    releases = [()] * l
-    due = [0] * (l + 1)  # due[d]: work of the jobs with deadline d
-    for i, (p, e) in enumerate(zip(periods, wcets)):
-        for t in range(0, l, p):
-            releases[t] += (i,)
-            due[t + p] += e
-    next_release = [l] * l
-    for t in range(l - 2, -1, -1):
-        next_release[t] = t + 1 if releases[t + 1] else next_release[t + 1]
-    base = [d - demand for d, demand in enumerate(accumulate(due))]
-    # min(base[t + 1 : t + reach]), l if empty: of base[1:], from t on
-    reach = max(periods)
-    lo = np.arange(l)
-    span = np.minimum(reach - 1, l - lo)
-    bases = np.array(base, dtype=np.int32)
-    minima = _sparse_table(bases[1:], reach)
-    slow = np.where(span > 0, _range_min(minima, lo, span), l) <= bases[:l]
-    overload = None
-    if base[l] < 0:
-        d = next(d for d in range(l + 1) if base[d] < 0)
-        overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
-    return _Tables(periods, wcets, releases, next_release, base, slow, overload)
+    d = np.arange(l + 1, dtype=np.int32)
+    return d - sum(e * (d // p) for p, e in zip(periods, wcets))
 
 
 def _sparse_table(values: np.ndarray, longest: int) -> np.ndarray:
@@ -231,52 +193,56 @@ def _lockstep(rows, wcets, aews, n_trusted, salt) -> list[tuple[int, ...]]:
     utilization exceeds 1; the rows of each horizon are then drawn together
     (``_draw_group``)."""
     wcets = tuple(wcets)
-    # each distinct task set's tables, built once per call and dropped with it
-    tables: dict[tuple, _Tables] = {}
+    # each distinct task set's demand bound, built once per call and dropped with it
+    bases: dict[tuple, np.ndarray] = {}
     groups: dict[int, list[int]] = {}
     for r, (periods, l, _) in enumerate(rows):
         periods = tuple(periods)
-        if (periods, l) not in tables:
-            tables[periods, l] = _tables(periods, wcets, l)
+        if (periods, l) not in bases:
+            bases[periods, l] = _base(periods, wcets, l)
         groups.setdefault(l, []).append(r)
-    for tab in tables.values():  # in the order of their first rows
-        if tab.overload:
-            raise _deadline_miss(*tab.overload)
+    for (periods, l), base in bases.items():  # in the order of their first rows
+        if base[l] < 0:
+            d = int(np.argmax(base < 0))
+            raise _deadline_miss(max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
     drawn: list[tuple[int, ...]] = [()] * len(rows)
     for l, members in groups.items():
         distinct: dict[tuple, int] = {}  # the group's periods -> their index
         spec_of = np.array([distinct.setdefault(tuple(rows[r][0]), len(distinct))
                             for r in members])
-        tabs = [tables[periods, l] for periods in distinct]
         states = np.array([(rows[r][2] ^ salt) & MASK64 for r in members], dtype=np.uint64)
-        stack = _draw_group(tabs, spec_of, states, l, aews, n_trusted)
+        stack = _draw_group(list(distinct), [bases[periods, l] for periods in distinct],
+                            wcets, spec_of, states, l, aews, n_trusted)
         for r, slots in zip(members, stack):
             drawn[r] = tuple(slots.tolist())
     return drawn
 
 
-def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
+def _draw_group(periods, bases, wcets, spec_of, states, l, aews, n_trusted) -> np.ndarray:
     """The (R, l) slots of R randomized feasible schedules drawn in
-    lockstep: row r schedules the task set ``tabs[spec_of[r]]`` from the
-    SplitMix64 stream of ``states[r]``, and all rows step through the slots
-    together.
+    lockstep: row r schedules the tasks ``wcets`` with the periods
+    ``periods[spec_of[r]]`` (whose demand bound is ``bases[spec_of[r]]``)
+    from the SplitMix64 stream of ``states[r]``, and all rows step through
+    the slots together.
 
     Per slot and row: the ascending list of tasks with work left, in
     Fisher-Yates order from the row's stream (one output per swap, none for
     a single task), class-partitioned while a trusted window is open, then
     the first job that keeps every deadline (``_admissible``, only at slots
-    where some row's table is ``slow``). Each row's list is
-    held reversed, so that swap c of every row fixes column c; a row's
-    first candidate is then its admissible task of the preferred class in
-    the highest column.
+    where some row's table has a negative slack: elsewhere it admits every
+    task). Each row's list is held reversed, so that swap c of every row
+    fixes column c; a row's first candidate is then its admissible task of
+    the preferred class in the highest column.
     """
-    n = len(tabs[0].periods)
+    n = len(wcets)
     rows = len(states)
-    bases = [np.array(tab.base, dtype=np.int32) for tab in tabs]
-    slow = np.logical_or.reduce([tab.slow for tab in tabs]).tolist()
-    releasing = [any(tab.releases[t] for tab in tabs) for t in range(l)]
-    periods = np.array([tab.periods for tab in tabs], dtype=np.int32)
-    wcets = np.array(tabs[0].wcets, dtype=np.int32)
+    period_of = np.array(periods, dtype=np.int32)  # (task sets, n)
+    # whether some row releases a job at t; every period divides l, so
+    # releasing[l] is True, the end of any search for the next release
+    releasing = [False] * (l + 1)
+    for p in set(chain.from_iterable(periods)):
+        releasing[::p] = [True] * (l // p + 1)
+    wcets = np.array(wcets, dtype=np.int32)
     columns = np.arange(n)
     descending = columns[::-1]
     row = np.arange(rows)
@@ -313,20 +279,22 @@ def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
     rem = np.zeros((rows, n), dtype=np.int32)  # work left in each current job
     window_end = np.zeros(rows, dtype=np.int32)
     slots = np.zeros((rows, l), dtype=np.int32)
-    row_periods = periods[spec_of]
+    row_periods = period_of[spec_of]
     t = stop = 0
     while t < l:
         if t >= stop:
             # the tables of the next slots: bounded memory for any horizon
             start, stop = t, min(t + _CHUNK, l)
-            table = np.stack([_demand(tab.periods, base, start, stop)
-                              for tab, base in zip(tabs, bases)])
+            table = np.stack([_demand(p, base, start, stop)
+                              for p, base in zip(periods, bases)])
+            # a slot with no negative slack admits every task (``_admissible``)
+            tight = (table[:, :, 2] < 0).any(axis=(0, 2)).tolist()
             if n_trusted:
                 # each trusted task's window end if its job completes at a
                 # slot, cut at its deadline; 0 in the last column
                 u = np.arange(start, stop, dtype=np.int32)[:, None]
-                p = periods[:, None, :n_trusted]
-                closing = np.zeros((len(tabs), stop - start, n_trusted + 1), dtype=np.int32)
+                p = period_of[:, None, :n_trusted]
+                closing = np.zeros((len(periods), stop - start, n_trusted + 1), dtype=np.int32)
                 closing[:, :, :-1] = np.minimum(u + 1 + aew, u - u % p + p)
         if releasing[t]:
             np.copyto(rem, wcets, where=t % row_periods == 0)
@@ -334,7 +302,7 @@ def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
         count = active.sum(axis=1)
         swaps = int(count.max()) - 1
         if swaps < 0:
-            t = min(tab.next_release[t] for tab in tabs)
+            t = releasing.index(True, t + 1)
             continue
         busy = count > 0
         if swaps == 0:
@@ -357,7 +325,7 @@ def _draw_group(tabs, spec_of, states, l, aews, n_trusted) -> np.ndarray:
             key = ready.argsort(axis=1)  # the column of each task
             if n_trusted:
                 key += prefer[(t < window_end).view(np.uint8)]
-            if slow[t]:
+            if tight[t - start]:
                 active &= _admissible(table[spec_of, t - start], wcets - rem)
             chosen = np.where(active, key, -1).argmax(axis=1)
         slots[:, t] = (chosen + 1) * busy
@@ -412,12 +380,14 @@ def enumerate_all(periods, wcets, l, budget):
     schedules; raises ConfigError beyond it. Distinct choice sequences
     yield distinct slot arrays, so no dedup pass is needed.
     """
-    tab = _tables(tuple(periods), tuple(wcets), l)
-    if tab.overload:
+    base = _base(tuple(periods), tuple(wcets), l)
+    if base[l] < 0:
         return []
-    table = _demand(tab.periods, np.array(tab.base, dtype=np.int32), 0, l)
-    slow = tab.slow
+    table = _demand(tuple(periods), base, 0, l)
+    # a slot with no negative slack admits every task (``_admissible``)
+    tight = (table[:, 2] < 0).any(axis=1).tolist()
     n = len(periods)
+    releases = [[i for i, p in enumerate(periods) if t % p == 0] for t in range(l)]
     rem = [0] * n
     slots = [0] * l
     results = []
@@ -429,13 +399,13 @@ def enumerate_all(periods, wcets, l, budget):
                     f"enumeration budget exhausted after {len(results)} schedules")
             results.append(tuple(slots))
             return
-        for i in tab.releases[t]:
+        for i in releases[t]:
             rem[i] = wcets[i]
         ready = [i for i in range(n) if rem[i]]
         if not ready:
             slots[t] = 0
             step(t + 1)
-        elif slow[t]:
+        elif tight[t]:
             done = np.array([[e - left for e, left in zip(wcets, rem)]])
             may = _admissible(table[t : t + 1], done)[0]
             ready = [i for i in ready if may[i]]
@@ -444,7 +414,7 @@ def enumerate_all(periods, wcets, l, budget):
             rem[i] -= 1
             step(t + 1)
             rem[i] += 1
-        for i in tab.releases[t]:
+        for i in releases[t]:
             rem[i] = 0
 
     old_limit = sys.getrecursionlimit()

@@ -1,7 +1,8 @@
 """Schedule generation: deterministic fixed-priority simulation, randomized
 shuffling with an exact feasibility check, and exhaustive enumeration for
 desk-scale verification. Thin wrappers around ``maars.kernel`` plus the
-one validity check (``validate_schedule``), which the store loader runs too.
+one validity check (``checked_stack``, which the store loader runs;
+``validate_schedule`` is its one-schedule call).
 """
 
 from __future__ import annotations
@@ -167,24 +168,17 @@ def validate_schedule(taskset: TaskSet, sched: Schedule) -> list[str]:
     The last two read the periods and the slots, so a schedule that breaks
     one of the first three is not checked against them.
     """
-    return validate_stack(taskset, sched.spec, [sched.slots])[0]
-
-
-def validate_stack(
-    taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
-) -> list[list[str]]:
-    """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``."""
-    return checked_stack(taskset, spec, stack)[0]
+    return checked_stack(taskset, sched.spec, [sched.slots])[0][0]
 
 
 def checked_stack(
     taskset: TaskSet, spec: TaskSpec, stack: list[tuple[int, ...]]
 ) -> tuple[list[list[str]], np.ndarray | None]:
-    """``validate_stack`` of ``stack``, and the (k, L) slot array of the k
-    tuples that pass its checks of length and slot type, in order (None when
-    the periods break the menus). Each tuple's slot types and range are
-    tested at once, and only a tuple that fails is scanned slot by slot; the
-    frame rules run once, on that array."""
+    """``validate_schedule`` of each slot tuple in ``stack`` under ``spec``,
+    and the (k, L) slot array of the k tuples that pass its checks of length
+    and slot type, in order (None when the periods break the menus). Each
+    tuple's slot types and range are tested at once, and only a tuple that
+    fails is scanned slot by slot; the frame rules run once, on that array."""
     periods, n = spec.all_periods(), taskset.n_tasks
     if not (
         len(spec.periods) == len(taskset.trusted)

@@ -1,10 +1,11 @@
-"""Acceptance gate: eleven end-to-end criteria, one test (= one pass/fail
+"""Acceptance gate: twelve end-to-end criteria, one test (= one pass/fail
 line under ``pytest -v``) each. Measured values are printed with ``-s``."""
 
 import io
 import logging
 import time
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -15,10 +16,12 @@ from maars.control import (
     discretize,
     _dare,
 )
-from maars.cosim import AttackScenario, run_scenario
+from maars.cosim import AttackScenario, CoSimWorld, run_scenario
 from maars.ladder import build_ladder, inferability_ratio
-from maars.runtime import make_selector, sched_sel
-from maars.schedgen import draw_schedules, enumerate_all, simulate_fixed_priority
+from maars.runtime import make_selector, run_epoch, sched_sel
+from maars.schedgen import (
+    draw_schedules, enumerate_all, generate_pool, simulate_fixed_priority,
+)
 from maars.stability import decay_alpha, find_cqlf, verify_certificate
 from maars.taskmodel import Infeasible, TaskSpec, enumerate_specs, is_schedulable, wcrt
 from maars.vulnerability import (
@@ -318,3 +321,69 @@ def test_criterion_11_numerics(plants):
     print(f"\n[criterion 11] semigroup {worst_semi:.2e}, DARE {worst_dare:.2e}, "
           f"FAR {far:.4f} (target 0.02)")
     assert abs(far - 0.02) <= 0.005
+
+
+def wilson_bound(hits: int, trials: int, alpha: float, upper: bool) -> float:
+    """One-sided Wilson score bound at level ``alpha`` on a binomial rate."""
+    z = NormalDist().inv_cdf(1 - alpha)
+    p = hits / trials
+    centre = p + z * z / (2 * trials)
+    spread = z * (p * (1 - p) / trials + z * z / (4 * trials * trials)) ** 0.5
+    return (centre + (spread if upper else -spread)) / (1 + z * z / trials)
+
+
+def test_criterion_12_attack_success_ordering(lu_ts, plants, lu_static_store):
+    """The paper's headline claim: under the 5->2 bias attack, the compromised
+    task hits fewer victim jobs per victim job under MAARS (a small
+    ``analyze`` store) than under TaskShuffler-style shuffling (a
+    ``baseline`` store, deployed over every index as ``simulate --policy
+    shuffle`` does), and fewer under shuffling than under the static
+    schedule.
+
+    Every arm simulates the same time on each seed: whole epochs while the
+    next one still ends within ``slots`` (an epoch is the deployed
+    schedule's hyper-period, 60 slots under shuffle and static and up to
+    2100 under MAARS, so MAARS may stop short and never runs longer). Each
+    ordering must hold between one-sided Wilson bounds at ``alpha`` each,
+    the victim jobs taken as Bernoulli trials: the upper bound of the lower
+    rate under the lower bound of the higher one."""
+    t0 = time.perf_counter()
+    scenario = AttackScenario(compromised_task_id=5, victim_id=2, injection="bias", value=50.0)
+    seeds, slots, alpha = (7, 8, 9), 8400, 0.001
+
+    pruned, _ = prune_menus(lu_ts, plants, gamma=-0.5)
+    specs = feasible_specs(pruned)
+    drawn = draw_schedules(
+        pruned,
+        [(s, seed) for i, s in enumerate(specs) for seed in (2 * i, 2 * i + 1)],
+        attack_aware=True,
+    )
+    maars_store = build_store([harden_schedule(s, pruned) for s in drawn], pruned)
+    shuffle_store = build_store(
+        generate_pool(lu_ts, [lu_ts.min_period_spec()], seeds_per_spec=100), lu_ts)
+    shuffle_store.k_threshold = len(shuffle_store.schedules)
+
+    bounds = {}  # per arm, the lower and upper bound on its hits per victim job
+    for label, store in (("maars", maars_store), ("shuffle", shuffle_store),
+                         ("static", lu_static_store)):
+        hits = jobs = simulated = 0
+        for seed in seeds:
+            selector = make_selector(store, seed)
+            world = CoSimWorld(store.taskset, plants, scenario, seed, io.StringIO())
+            run_epoch(selector, world, 0)  # the first selection
+            while (not world.diverged
+                   and world.time_slots + store.schedules[selector.current].length <= slots):
+                run_epoch(selector, world, 1)
+            assert not world.diverged, label
+            hits, jobs = hits + world.victim_hits, jobs + world.victim_jobs
+            simulated += world.time_slots
+        lower, upper = (wilson_bound(hits, jobs, alpha, upper) for upper in (False, True))
+        bounds[label] = lower, upper
+        print(f"\n[criterion 12] {label}: {hits} hits of {jobs} victim jobs = "
+              f"{hits / jobs:.4f} (one-sided bounds at alpha {alpha}: "
+              f"{lower:.4f}, {upper:.4f}) in {simulated} slots", end="")
+    elapsed = time.perf_counter() - t0
+    print(f"\n[criterion 12] {elapsed:.1f}s")
+    assert bounds["maars"][1] < bounds["shuffle"][0]
+    assert bounds["shuffle"][1] < bounds["static"][0]
+    assert elapsed < 10.0

@@ -4,8 +4,8 @@ equivalence with a forward-EDF-lookahead reference."""
 import itertools
 import math
 import sys
-from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -379,24 +379,10 @@ def test_blocked_stream_matches_splitmix64(seed, boundary, before, after):
     assert list(itertools.islice(splitmix64_stream(seed), start, stop)) == expected[start:]
 
 
-def reference_tables(periods, wcets, l):
-    """The kernel's per-task-set tables built slot by slot from their
-    definitions: the oracle of the linear-time construction in
-    ``kernel._tables``."""
-    releases = [tuple(i for i, p in enumerate(periods) if t % p == 0) for t in range(l)]
-    next_release = [
-        next((u for u in range(t + 1, l) if releases[u]), l) for t in range(l)
-    ]
-    base = [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
-    reach = max(periods)
-    slow = [min(base[t + 1 : t + reach], default=l) <= base[t] for t in range(l)]
-    overload = None
-    if base[l] < 0:
-        d = next(d for d in range(l + 1) if base[d] < 0)
-        overload = (max(i for i, p in enumerate(periods) if d % p == 0) + 1, d)
-    return kernel._Tables(
-        tuple(periods), tuple(wcets), releases, next_release, base, slow, overload
-    )
+def reference_base(periods, wcets, l):
+    """The processor-demand bound of a task set from its definition: base[d]
+    = d minus the work of every job with deadline <= d."""
+    return [d - sum(e * (d // p) for p, e in zip(periods, wcets)) for d in range(l + 1)]
 
 
 @st.composite
@@ -411,13 +397,39 @@ def period_wcet_sets(draw):
 @example(case=([1], [1]))  # a window of no interval ends
 @example(case=([2, 3], [1, 2]))  # utilization above 1
 @settings(max_examples=150, deadline=None)
-def test_tables_match_definitions(case):
+def test_base_and_overload_match_definitions(case):
+    """``_base`` is the demand bound, and an overloaded task set's draw
+    fails at its first deadline d with base[d] < 0, for the lowest-priority
+    task due there."""
     periods, wcets = case
     l = math.lcm(*periods)
-    tables = kernel._tables(tuple(periods), tuple(wcets), l)
-    # the slow flags are one boolean array, the reference's a list
-    assert tables.slow.dtype == bool
-    assert replace(tables, slow=tables.slow.tolist()) == reference_tables(periods, wcets, l)
+    base = reference_base(periods, wcets, l)
+    assert kernel._base(tuple(periods), tuple(wcets), l).tolist() == base
+    if base[l] < 0:
+        d = next(d for d in range(l + 1) if base[d] < 0)
+        task = max(i for i, p in enumerate(periods) if d % p == 0) + 1
+        with pytest.raises(Infeasible) as miss:
+            kernel.shuffles([(periods, l, 0)], wcets)
+        assert str(miss.value) == f"task {task} missed a deadline at slot {d}"
+
+
+@given(case=period_wcet_sets(), done=st.lists(st.integers(0, 12), min_size=4, max_size=4))
+@example(case=([1], [1]), done=[1, 0, 0, 0])  # a window of no interval ends
+@example(case=([2, 3], [1, 2]), done=[0, 2, 0, 0])  # utilization above 1
+@settings(max_examples=150, deadline=None)
+def test_no_negative_slack_admits_every_task(case, done):
+    """At every slot of ``_demand`` where no slack is negative, ``_admissible``
+    admits every task, whatever units (up to its WCET) each current job has
+    run: the shuffles and the enumeration skip it there. With no unit run,
+    it refuses some task exactly where a slack is negative."""
+    periods, wcets = case
+    l = math.lcm(*periods)
+    table = kernel._demand(tuple(periods), kernel._base(tuple(periods), tuple(wcets), l), 0, l)
+    calm = ~(table[:, 2] < 0).any(axis=1)
+    done = [min(d, e) for d, e in zip(done, wcets)]
+    assert kernel._admissible(table[calm], np.array([done] * int(calm.sum()))).all()
+    idle = np.zeros((l, len(periods)), dtype=np.int32)
+    assert (kernel._admissible(table, idle).all(axis=1) == calm).all()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from maars import kernel
 from maars.schedgen import (
     Schedule,
+    checked_stack,
     enumerate_all,
     generate_pool,
     pool_from_dict,
@@ -20,7 +21,6 @@ from maars.schedgen import (
     slot_texts,
     unique,
     validate_schedule,
-    validate_stack,
 )
 from maars.taskmodel import TaskSpec, enumerate_specs, hyper_period
 
@@ -213,7 +213,7 @@ class TestValidator:
                     near.add(tuple(swapped))
             stack = sorted(near)
         expected = [slots in valid for slots in stack]
-        assert [not errors for errors in validate_stack(minimal_ts, spec, stack)] == expected
+        assert [not errors for errors in checked_stack(minimal_ts, spec, stack)[0]] == expected
         assert [
             not validate_schedule(minimal_ts, Schedule(spec, slots, "exhaustive"))
             for slots in stack
